@@ -110,10 +110,9 @@ int main() {
   bool ok = true;
   for (const Case& c : kCases) {
     ops::Options o;
-    // Serial backend: the Threads reductions combine chunks in
-    // work-stealing order, so their sums are not run-to-run
-    // reproducible - bit-exactness of the *schedule* needs a
-    // deterministic reducer underneath.
+    // Serial backend: the single-threaded reference schedule. (The
+    // block-partitioned reductions are bit-exact on every backend, see
+    // docs/executor.md "Reductions".)
     o.backend = ops::Backend::Serial;
     setenv("SYCLPORT_FUSION", "off", 1);
     const auto rs_off = c.run(o, c.exec_ps);

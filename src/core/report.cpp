@@ -1,7 +1,10 @@
 #include "core/report.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -109,6 +112,13 @@ std::string fmt(double v, int precision) {
 
 std::string fmt_percent(double fraction, int precision) {
   return fmt(fraction * 100.0, precision) + "%";
+}
+
+std::string exact(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g (0x%016llx)", v,
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
 }
 
 }  // namespace syclport::report

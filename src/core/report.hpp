@@ -60,5 +60,10 @@ void render_bars(std::ostream& os, const std::vector<BarGroup>& groups,
 /// Format helpers.
 [[nodiscard]] std::string fmt(double v, int precision = 2);
 [[nodiscard]] std::string fmt_percent(double fraction, int precision = 1);
+/// Exact rendering of a double: shortest round-trip-safe decimal
+/// (%.17g) plus its IEEE-754 bit pattern, e.g.
+/// "271.59744183417267 (0x4070f98eb1d123c5)". Two values print the same
+/// iff they are bit-identical.
+[[nodiscard]] std::string exact(double v);
 
 }  // namespace syclport::report

@@ -5,7 +5,9 @@
 ///  - arg_indirect(dat, map, idx, acc): values of the idx-th mapped
 ///    element; INC access hands the kernel an Inc<T> proxy whose
 ///    addition is atomic or plain depending on the active strategy;
-///  - arg_gbl(target, op): global reduction, as Reducer<T>.
+///  - arg_gbl(target, op): global reduction, as Reducer<T> - a plain
+///    accumulator into the current block's slot, folded in block order
+///    when the sweep completes (core/reducer.hpp).
 
 #include "core/reducer.hpp"
 #include "op2/dat.hpp"

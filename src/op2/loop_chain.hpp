@@ -7,9 +7,10 @@
 /// intermediates stay register/L1-resident instead of making a DRAM
 /// round trip per loop. Element-wise fusion of direct loops is always
 /// legal - every access of element e touches only e's own values, so
-/// per-element program order preserves RAW/WAR/WAW exactly, and each
-/// global reduction still combines its elements in sweep order
-/// (bit-exact under serial execution).
+/// per-element program order preserves RAW/WAR/WAW exactly. Each global
+/// reduction keeps the unfused sweep's kReduceChunk blocks and folds
+/// them in block order (core/reducer.hpp), so fused and unfused results
+/// are bit-identical under every Exec.
 ///
 /// Segments split where fusion stops being element-local:
 ///  - any indirect or INC argument (values of mapped neighbours may be
@@ -24,6 +25,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -67,13 +69,10 @@ class LoopChain {
       par_loop(*ctx, meta, *set_p, kernel, args...);
       ctx->opt.record = rec;
     };
-    q.make_invoke = [kernel, args...] {
+    q.make_fused = [kernel, args...]() -> std::unique_ptr<Fused> {
       auto binders = std::make_tuple(detail::make_binder(args, true)...);
-      return std::function<void(std::size_t)>(
-          [binders, kernel](std::size_t e) {
-            std::apply([&](const auto&... b) { kernel(b.make(e, false)...); },
-                       binders);
-          });
+      return std::make_unique<FusedLoop<K, decltype(binders)>>(
+          kernel, std::move(binders));
     };
     queued_.push_back(std::move(q));
   }
@@ -161,6 +160,28 @@ class LoopChain {
   }
 
  private:
+  /// One loop of a fused sweep: its binders, bound at execute time.
+  struct Fused {
+    virtual ~Fused() = default;
+    virtual void open(std::size_t blocks) = 0;
+    virtual void invoke(std::size_t e, std::size_t blk) const = 0;
+    virtual void close() const = 0;
+  };
+  template <typename K, typename Binders>
+  struct FusedLoop final : Fused {
+    FusedLoop(K k, Binders b) : kernel(std::move(k)), binders(std::move(b)) {}
+    void open(std::size_t blocks) override {
+      detail::open_sweeps(binders, blocks);
+    }
+    void invoke(std::size_t e, std::size_t blk) const override {
+      std::apply([&](const auto&... b) { kernel(b.make(e, false, blk)...); },
+                 binders);
+    }
+    void close() const override { detail::close_sweeps(binders); }
+    K kernel;
+    Binders binders;
+  };
+
   struct Queued {
     Set* set = nullptr;
     bool fusable = true;
@@ -168,7 +189,7 @@ class LoopChain {
     std::function<void()> run_full;
     /// Deferred binder construction: dat base pointers are resolved at
     /// execute time, not capture time.
-    std::function<std::function<void(std::size_t)>()> make_invoke;
+    std::function<std::unique_ptr<Fused>()> make_fused;
   };
 
   struct Telemetry {
@@ -221,30 +242,26 @@ class LoopChain {
     last_.eliminated_bytes += fusable_bytes;
     if (!live) return;
 
-    std::vector<std::function<void(std::size_t)>> inv;
-    inv.reserve(e - b);
-    for (std::size_t i = b; i < e; ++i) inv.push_back(queued_[i].make_invoke());
     const std::size_t n = queued_[b].set->size();
-    auto invoke_all = [&](std::size_t el) {
-      for (const auto& f : inv) f(el);
-    };
-    switch (ctx_->opt.exec) {
-      case Exec::Serial:
-        for (std::size_t el = 0; el < n; ++el) invoke_all(el);
-        break;
-      case Exec::Threads:
-        rt::ThreadPool::global().parallel_for(
-            n, [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t el = lo; el < hi; ++el) invoke_all(el);
-            });
-        break;
-      case Exec::Sycl:
-        ctx_->queue.parallel_for(site_name, ::sycl::range<1>(n),
-                                 [&](::sycl::item<1> it) {
-                                   invoke_all(it.get_linear_id());
-                                 });
-        break;
+    const std::size_t blocks = BlockPartition::uniform(n, kReduceChunk).count();
+    std::vector<std::unique_ptr<Fused>> loops;
+    loops.reserve(e - b);
+    for (std::size_t i = b; i < e; ++i) {
+      loops.push_back(queued_[i].make_fused());
+      loops.back()->open(blocks);
     }
+    auto invoke_all = [&](std::size_t el, std::size_t blk) {
+      for (const auto& f : loops) f->invoke(el, blk);
+    };
+    bool reduces = false;
+    for (std::size_t i = b; i < e; ++i) reduces |= nodes[i].reduction;
+    if (reduces)
+      detail::sweep_list<true>(ctx_->opt.exec, ctx_->queue, site_name, n,
+                               rt::autotune::VariantParams{}, invoke_all);
+    else
+      detail::sweep_list<false>(ctx_->opt.exec, ctx_->queue, site_name, n,
+                                rt::autotune::VariantParams{}, invoke_all);
+    for (const auto& f : loops) f->close();
   }
 
   Context* ctx_;

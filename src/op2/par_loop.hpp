@@ -13,6 +13,7 @@
 /// locality, the input to the hardware model's MG-CFD reproduction.
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -39,12 +40,14 @@ struct Meta {
 namespace detail {
 
 // --- kernel-side binders -----------------------------------------------------
+// make(e, atomic, blk): the view of element e, which the sweep runs in
+// reduction block blk (core/reducer.hpp; only GblBinder reads it).
 
 template <typename T>
 struct DirectBinder {
   T* base;
   int dim;
-  [[nodiscard]] T* make(std::size_t e, bool /*atomic*/) const {
+  [[nodiscard]] T* make(std::size_t e, bool, std::size_t) const {
     return base + e * static_cast<std::size_t>(dim);
   }
 };
@@ -55,7 +58,7 @@ struct IndirectBinder {
   int dim;
   const Map* map;
   int idx;
-  [[nodiscard]] T* make(std::size_t e, bool /*atomic*/) const {
+  [[nodiscard]] T* make(std::size_t e, bool, std::size_t) const {
     return base +
            static_cast<std::size_t>(map->at(e, idx)) *
                static_cast<std::size_t>(dim);
@@ -68,21 +71,100 @@ struct IncBinder {
   int dim;
   const Map* map;
   int idx;
-  [[nodiscard]] Inc<T> make(std::size_t e, bool atomic) const {
+  [[nodiscard]] Inc<T> make(std::size_t e, bool atomic, std::size_t) const {
     return Inc<T>(base + static_cast<std::size_t>(map->at(e, idx)) *
                              static_cast<std::size_t>(dim),
                   atomic);
   }
 };
 
+/// Global reduction: one partial per block of the current sweep,
+/// folded into the target in block order when the sweep closes.
 template <typename T>
 struct GblBinder {
   T* target;
   RedOp op;
-  [[nodiscard]] Reducer<T> make(std::size_t, bool) const {
-    return Reducer<T>(target, op);
+  std::optional<BlockPartials<T>> partials;
+  [[nodiscard]] Reducer<T> make(std::size_t, bool, std::size_t blk) const {
+    return Reducer<T>(partials->slot(blk), op);
   }
 };
+
+template <typename B>
+void open_sweep(B&, std::size_t) {}
+template <typename T>
+void open_sweep(GblBinder<T>& b, std::size_t blocks) {
+  b.partials.emplace(b.op, blocks);
+}
+template <typename B>
+void close_sweep(const B&) {}
+template <typename T>
+void close_sweep(const GblBinder<T>& b) {
+  b.partials->fold_into(*b.target);
+}
+
+/// Open / close one sweep on every binder of a loop.
+template <typename Binders>
+void open_sweeps(Binders& bs, std::size_t blocks) {
+  std::apply([&](auto&... b) { (open_sweep(b, blocks), ...); }, bs);
+}
+template <typename Binders>
+void close_sweeps(const Binders& bs) {
+  std::apply([](const auto&... b) { (close_sweep(b), ...); }, bs);
+}
+
+template <typename A>
+struct is_gbl_arg : std::false_type {};
+template <typename T>
+struct is_gbl_arg<GblArg<T>> : std::true_type {};
+
+/// Run body(i, blk) for every position i of a [0, count) sweep on
+/// `exec`. With Whole (the loop reduces), blk is i's kReduceChunk
+/// block and every block runs on one thread in ascending order: a
+/// parallel chunk runs the blocks that start inside it, a SYCL work-item
+/// at a block start sweeps its block. Without it blk is 0 and chunks
+/// split freely.
+template <bool Whole, typename F>
+void sweep_list(Exec exec, ::sycl::queue& q, const char* name,
+                std::size_t count, const rt::autotune::VariantParams& vp,
+                F&& body) {
+  const BlockPartition part = BlockPartition::uniform(count, kReduceChunk);
+  switch (exec) {
+    case Exec::Serial:
+      for (std::size_t i = 0; i < count; ++i)
+        body(i, Whole ? i >> kReduceChunkShift : 0);
+      break;
+    case Exec::Threads:
+      rt::ThreadPool::global().parallel_for(
+          count, [&](std::size_t b, std::size_t e) {
+            if constexpr (Whole) {
+              part.for_each_starting_in(
+                  b, e, [&](std::size_t k, std::size_t kb, std::size_t ke) {
+                    rt::autotune::run_span_variant(
+                        vp, kb, ke, [&](std::size_t i) { body(i, k); });
+                  });
+            } else {
+              rt::autotune::run_span_variant(
+                  vp, b, e, [&](std::size_t i) { body(i, 0); });
+            }
+          });
+      break;
+    case Exec::Sycl:
+      // The handler's exec_flat applies the variant decided for this
+      // loop's scope (it reads the innermost tuning config).
+      q.parallel_for(name, ::sycl::range<1>(count), [&](::sycl::item<1> it) {
+        const std::size_t i = it.get_linear_id();
+        if constexpr (Whole) {
+          if ((i & (kReduceChunk - 1)) != 0) return;
+          const std::size_t k = i >> kReduceChunkShift;
+          for (std::size_t j = i, e = part.end(k); j < e; ++j) body(j, k);
+        } else {
+          body(i, 0);
+        }
+      });
+      break;
+  }
+}
 
 template <typename T>
 DirectBinder<T> make_binder(const DirectArg<T>& a, bool executing) {
@@ -96,7 +178,7 @@ IndirectBinder<T> make_binder(const IndirectArg<T>& a, bool executing) {
 }
 template <typename T>
 GblBinder<T> make_binder(const GblArg<T>& a, bool) {
-  return {a.target, a.op};
+  return {a.target, a.op, std::nullopt};
 }
 
 /// INC arguments get their own type so the kernel parameter is Inc<T>.
@@ -414,37 +496,25 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
 
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
   const bool atomic = conflict != nullptr && strat == Strategy::Atomics;
-  auto invoke = [&](std::size_t e) {
-    std::apply([&](const auto&... b) { kernel(b.make(e, atomic)...); },
+  auto invoke = [&](std::size_t e, std::size_t blk) {
+    std::apply([&](const auto&... b) { kernel(b.make(e, atomic, blk)...); },
                binders);
   };
+  // Every sweep reduces into fresh block partials and folds them into
+  // the targets when it completes (core/reducer.hpp).
+  constexpr bool has_gbl = (detail::is_gbl_arg<Args>::value || ...);
 
   // Parallel sweep over an index list (or the identity when null).
   auto sweep = [&](const std::vector<int>* elems, std::size_t count) {
-    auto elem_at = [&](std::size_t i) {
-      return elems != nullptr ? static_cast<std::size_t>((*elems)[i]) : i;
-    };
-    switch (ctx.opt.exec) {
-      case Exec::Serial:
-        for (std::size_t i = 0; i < count; ++i) invoke(elem_at(i));
-        break;
-      case Exec::Threads: {
-        rt::ThreadPool::global().parallel_for(
-            count, [&](std::size_t b, std::size_t e) {
-              rt::autotune::run_span_variant(
-                  vp, b, e, [&](std::size_t i) { invoke(elem_at(i)); });
-            });
-        break;
-      }
-      case Exec::Sycl:
-        // The handler's exec_flat applies the variant decided for this
-        // loop's scope (it reads the innermost tuning config).
-        ctx.queue.parallel_for(meta.name, sycl::range<1>(count),
-                               [&](sycl::item<1> it) {
-                                 invoke(elem_at(it.get_linear_id()));
-                               });
-        break;
-    }
+    detail::open_sweeps(binders,
+                        BlockPartition::uniform(count, kReduceChunk).count());
+    detail::sweep_list<has_gbl>(
+        ctx.opt.exec, ctx.queue, meta.name, count, vp,
+        [&](std::size_t i, std::size_t blk) {
+          invoke(elems != nullptr ? static_cast<std::size_t>((*elems)[i]) : i,
+                 blk);
+        });
+    detail::close_sweeps(binders);
   };
 
   if (conflict == nullptr || strat == Strategy::Atomics ||
@@ -460,29 +530,33 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   }
 
   // Hierarchical: blocks of one colour run in parallel; inside a block,
-  // intra-colour phases execute in order.
-  const auto run_block_serial = [&](int blk) {
+  // intra-colour phases execute in order. Each plan block is one
+  // reduction block (slot = its position in the colour's list).
+  const auto run_block_serial = [&](int blk, std::size_t slot) {
     const std::size_t b = static_cast<std::size_t>(blk) * plan->block_size;
     const std::size_t e_end = std::min(n, b + plan->block_size);
     for (int c = 0; c < plan->max_intra_colours; ++c)
       for (std::size_t e = b; e < e_end; ++e)
-        if (plan->intra_colour[e] == c) invoke(e);
+        if (plan->intra_colour[e] == c) invoke(e, slot);
   };
   for (const auto& blocks : plan->blocks_by_colour) {
+    detail::open_sweeps(binders, blocks.size());
     switch (ctx.opt.exec) {
       case Exec::Serial:
-        for (int blk : blocks) run_block_serial(blk);
+        for (std::size_t i = 0; i < blocks.size(); ++i)
+          run_block_serial(blocks[i], i);
         break;
       case Exec::Threads:
         rt::ThreadPool::global().parallel_for(
             blocks.size(), [&](std::size_t lo, std::size_t hi) {
               for (std::size_t i = lo; i < hi; ++i)
-                run_block_serial(blocks[i]);
+                run_block_serial(blocks[i], i);
             });
         break;
       case Exec::Sycl: {
         // One work-group per block; barriers separate intra-colours -
-        // the GPU hierarchical execution of Figure 1 (right).
+        // the GPU hierarchical execution of Figure 1 (right). A group
+        // runs on one worker, so its block's slot is never shared.
         const std::size_t wg = std::max<std::size_t>(1, ctx.opt.wg);
         const Plan* pl = plan;
         const std::vector<int>* blks = &blocks;
@@ -492,20 +566,22 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
             sycl::nd_range<1>(sycl::range<1>(blocks.size() * wg),
                               sycl::range<1>(wg)),
             [&, pl, blks, total](sycl::nd_item<1> it) {
-              const int blk = (*blks)[it.get_group(0)];
+              const std::size_t slot = it.get_group(0);
+              const int blk = (*blks)[slot];
               const std::size_t b =
                   static_cast<std::size_t>(blk) * pl->block_size;
               const std::size_t e_end = std::min(total, b + pl->block_size);
               for (int c = 0; c < pl->max_intra_colours; ++c) {
                 for (std::size_t e = b + it.get_local_id(0); e < e_end;
                      e += wg)
-                  if (pl->intra_colour[e] == c) invoke(e);
+                  if (pl->intra_colour[e] == c) invoke(e, slot);
                 it.barrier();
               }
             });
         break;
       }
     }
+    detail::close_sweeps(binders);
   }
 }
 
@@ -543,30 +619,20 @@ void par_loop_subset(Context& ctx, Meta meta, Set& set,
         "par_loop_subset: INC needs Strategy::Atomics (or serial execution)");
 
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  auto invoke = [&](std::size_t e) {
-    std::apply([&](const auto&... b) { kernel(b.make(e, atomic)...); },
-               binders);
-  };
-
-  switch (ctx.opt.exec) {
-    case Exec::Serial:
-      for (int e : elems) invoke(static_cast<std::size_t>(e));
-      break;
-    case Exec::Threads:
-      rt::ThreadPool::global().parallel_for(
-          elems.size(), [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i)
-              invoke(static_cast<std::size_t>(elems[i]));
-          });
-      break;
-    case Exec::Sycl:
-      ctx.queue.parallel_for(meta.name, sycl::range<1>(elems.size()),
-                             [&](sycl::item<1> it) {
-                               invoke(static_cast<std::size_t>(
-                                   elems[it.get_linear_id()]));
-                             });
-      break;
-  }
+  constexpr bool has_gbl = (detail::is_gbl_arg<Args>::value || ...);
+  detail::open_sweeps(
+      binders, BlockPartition::uniform(elems.size(), kReduceChunk).count());
+  detail::sweep_list<has_gbl>(
+      ctx.opt.exec, ctx.queue, meta.name, elems.size(),
+      rt::autotune::VariantParams{}, [&](std::size_t i, std::size_t blk) {
+        std::apply(
+            [&](const auto&... b) {
+              kernel(b.make(static_cast<std::size_t>(elems[i]), atomic,
+                            blk)...);
+            },
+            binders);
+      });
+  detail::close_sweeps(binders);
 }
 
 }  // namespace syclport::op2

@@ -49,16 +49,43 @@ struct IncArena {
 };
 struct NoArena {};
 
+/// Global reduction: one partial per tile of the whole loop (a tile is
+/// the staged lowering's reduction block, core/reducer.hpp), folded into
+/// the target in tile order once every super-tile has run.
 template <typename T>
-IncArena<T> make_arena(const IncArg<T>& a, std::size_t slots) {
+struct GblArena {
+  T* target;
+  std::size_t tile;
+  BlockPartials<T> partials;
+};
+
+template <typename T>
+IncArena<T> make_arena(const IncArg<T>& a, std::size_t slots, std::size_t,
+                       std::size_t) {
   return {std::vector<T>(slots * static_cast<std::size_t>(a.dat->dim()))};
 }
 template <typename T>
-NoArena make_arena(const DirectArg<T>&, std::size_t) { return {}; }
+NoArena make_arena(const DirectArg<T>&, std::size_t, std::size_t,
+                   std::size_t) {
+  return {};
+}
 template <typename T>
-NoArena make_arena(const IndirectArg<T>&, std::size_t) { return {}; }
+NoArena make_arena(const IndirectArg<T>&, std::size_t, std::size_t,
+                   std::size_t) {
+  return {};
+}
 template <typename T>
-NoArena make_arena(const GblArg<T>&, std::size_t) { return {}; }
+GblArena<T> make_arena(const GblArg<T>& a, std::size_t, std::size_t tile,
+                       std::size_t n) {
+  return {a.target, tile, BlockPartials<T>(a.op, (n + tile - 1) / tile)};
+}
+
+template <typename A>
+void fold_arena(const A&) {}
+template <typename T>
+void fold_arena(const GblArena<T>& a) {
+  a.partials.fold_into(*a.target);
+}
 
 // --- tile views: what the kernel sees during a phase-A tile sweep -----------
 
@@ -151,13 +178,13 @@ struct IncTileView {
   void flush() {}
 };
 
+/// Global reduction: the tile's own partial slot.
 template <typename T>
 struct GblTileView {
-  T* target;
+  T* slot;
   RedOp op;
-  GblTileView(const GblArg<T>& a) : target(a.target), op(a.op) {}
   [[nodiscard]] Reducer<T> make(std::size_t, bool) const {
-    return Reducer<T>(target, op);
+    return Reducer<T>(slot, op);
   }
   void flush() {}
 };
@@ -179,9 +206,9 @@ IncTileView<T> make_tile_view(const IncArg<T>& a, IncArena<T>& arena,
   return IncTileView<T>(a, arena, arena_slot, b, e);
 }
 template <typename T>
-GblTileView<T> make_tile_view(const GblArg<T>& a, NoArena&, std::size_t,
-                              std::size_t, std::size_t) {
-  return GblTileView<T>(a);
+GblTileView<T> make_tile_view(const GblArg<T>& a, GblArena<T>& arena,
+                              std::size_t, std::size_t b, std::size_t) {
+  return {arena.partials.slot(b / arena.tile), a.op};
 }
 
 // --- phase B: ordered scatter of one element's increments -------------------
@@ -200,9 +227,9 @@ inline void scatter_inc_elem(const IncArg<T>& a, const IncArena<T>& arena,
   for (std::size_t c = 0; c < dim; ++c)
     a.dat->at(t, static_cast<int>(c)) += src[c];
 }
-template <typename A>
-inline void scatter_inc_elem(const A&, const NoArena&, std::size_t,
-                             std::size_t, std::size_t, std::size_t) {}
+template <typename A, typename Arena>
+inline void scatter_inc_elem(const A&, const Arena&, std::size_t, std::size_t,
+                             std::size_t, std::size_t) {}
 
 /// Number of target partitions phase B scans with. One partition per
 /// worker; the arena re-read is shared-cache-resident, so extra
@@ -232,7 +259,9 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
   const std::size_t super = ktiles * tile;
 
   auto arenas = std::apply(
-      [&](const auto&... a) { return std::make_tuple(make_arena(a, super)...); },
+      [&](const auto&... a) {
+        return std::make_tuple(make_arena(a, super, tile, n)...);
+      },
       args);
 
   constexpr auto idx = std::index_sequence_for<Args...>{};
@@ -320,6 +349,7 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
         break;
     }
   }
+  std::apply([](const auto&... a) { (fold_arena(a), ...); }, arenas);
 }
 
 }  // namespace syclport::op2::detail

@@ -6,7 +6,9 @@
 ///  - ACC<T>: the positioned accessor kernels index with relative
 ///    offsets, fastest dimension first: acc(dx[,dy[,dz]]) and the
 ///    multi-component form acc(c, dx[,dy[,dz]]);
-///  - Reducer<T>: the kernel-side combiner (atomic, backend-agnostic).
+///  - Reducer<T>: the kernel-side combiner, a plain accumulator into
+///    the slot of the current element's block; par_loop folds the
+///    slots in block order after the launch (core/reducer.hpp).
 
 #include <cstddef>
 

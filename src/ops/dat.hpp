@@ -10,6 +10,7 @@
 /// streaming-zero initialization (first-touched by the workers that
 /// will stream the field), huge pages above the threshold.
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <string>
@@ -27,13 +28,22 @@ class Dat {
         name_(std::move(name)),
         ncomp_(ncomp),
         halo_(halo) {
+    std::array<std::size_t, 3> padded{1, 1, 1};
     for (int d = 0; d < 3; ++d)
-      padded_[static_cast<std::size_t>(d)] =
+      padded[static_cast<std::size_t>(d)] =
           d < block.dims()
               ? block.size(d) + 2 * static_cast<std::size_t>(halo_)
               : 1;
+    // The mid stride spans the padded fastest extent; in 3D the slow
+    // stride spans a full (mid x fast) plane, for lower dims the mid
+    // stride already is the slowest spatial stride.
+    const int dims = block.dims();
+    const auto fast = static_cast<std::size_t>(dims >= 2 ? dims - 1 : 0);
+    s_mid_ = static_cast<std::ptrdiff_t>(padded[fast]) * ncomp_;
+    s_slow_ = dims < 3 ? s_mid_
+                       : s_mid_ * static_cast<std::ptrdiff_t>(padded[1]);
     if (block.ctx().executing())
-      data_ = rt::mem::Array<T>(padded_[0] * padded_[1] * padded_[2] *
+      data_ = rt::mem::Array<T>(padded[0] * padded[1] * padded[2] *
                                 static_cast<std::size_t>(ncomp_));
   }
 
@@ -45,18 +55,8 @@ class Dat {
 
   /// Element strides (in T units): fastest spatial step, mid, slow.
   [[nodiscard]] std::ptrdiff_t stride_fast() const { return ncomp_; }
-  [[nodiscard]] std::ptrdiff_t stride_mid() const {
-    return static_cast<std::ptrdiff_t>(padded_[static_cast<std::size_t>(
-               block_->dims() - 1)]) *
-           ncomp_;
-  }
-  [[nodiscard]] std::ptrdiff_t stride_slow() const {
-    // 3D: slow stride spans a full (mid x fast) plane; for lower dims
-    // the mid stride already is the slowest spatial stride.
-    return block_->dims() < 3
-               ? stride_mid()
-               : stride_mid() * static_cast<std::ptrdiff_t>(padded_[1]);
-  }
+  [[nodiscard]] std::ptrdiff_t stride_mid() const { return s_mid_; }
+  [[nodiscard]] std::ptrdiff_t stride_slow() const { return s_slow_; }
 
   /// Pointer to the interior origin (all halo offsets applied).
   [[nodiscard]] T* origin() {
@@ -128,7 +128,8 @@ class Dat {
   std::string name_;
   int ncomp_;
   int halo_;
-  std::array<std::size_t, 3> padded_{1, 1, 1};
+  std::ptrdiff_t s_mid_ = 0;
+  std::ptrdiff_t s_slow_ = 0;
   rt::mem::Array<T> data_;
 };
 

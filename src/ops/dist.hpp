@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
@@ -217,6 +216,7 @@ struct DatBinder {
     return ACC<T>(&f.at(li, lj, lk), 1, s_mid, s_slow);
   }
   void finish(DistContext&) const {}
+  void bind(const IterSpace&) const {}
   void offer_iter(IterSpace& is) const {
     if (is.iterate) return;
     DistDat<T>* d = dat;
@@ -235,35 +235,50 @@ struct DatBinder {
   }
 };
 
+/// Rank-local reducer on the core/reducer.hpp primitive: one block per
+/// local fast-dimension row (kReduceChunk chunks for 1-D fields), folded
+/// in block order before the cross-rank combine.
 template <typename T>
 struct RedBinder {
   T* target;
   RedOp op;
-  std::shared_ptr<T> local = std::make_shared<T>();
+  int dims = 1;
+  std::size_t mid = 1;  ///< local extent of dimension 1 (3-D row index)
+  std::shared_ptr<BlockPartials<T>> partials;
 
-  RedBinder(T* t, RedOp o) : target(t), op(o) {
-    switch (op) {
-      case RedOp::Sum: *local = T{}; break;
-      case RedOp::Min: *local = std::numeric_limits<T>::max(); break;
-      case RedOp::Max: *local = std::numeric_limits<T>::lowest(); break;
-    }
+  RedBinder(T* t, RedOp o) : target(t), op(o) {}
+  void bind(const IterSpace& is) {
+    dims = is.dims;
+    mid = is.local[1];
+    const std::size_t blocks =
+        dims == 1 ? (is.local[0] + kReduceChunk - 1) / kReduceChunk
+        : dims == 2 ? is.local[0]
+                    : is.local[0] * is.local[1];
+    partials = std::make_shared<BlockPartials<T>>(op, blocks);
   }
   void prepare() const {}
   void begin_halo(std::vector<std::function<void()>>&) const {}
   void declare(sycl::handler& h) const {
-    h.require(static_cast<const void*>(local.get()),
+    h.require(static_cast<const void*>(partials->slot(0)),
               sycl::access_mode::read_write);
   }
-  [[nodiscard]] Reducer<T> make(std::ptrdiff_t, std::ptrdiff_t,
+  [[nodiscard]] Reducer<T> make(std::ptrdiff_t li, std::ptrdiff_t lj,
                                 std::ptrdiff_t) const {
-    return Reducer<T>(local.get(), op);
+    const auto i = static_cast<std::size_t>(li);
+    const std::size_t k = dims == 1   ? i >> kReduceChunkShift
+                          : dims == 2 ? i
+                                      : i * mid + static_cast<std::size_t>(lj);
+    return Reducer<T>(partials->slot(k), op);
   }
   void finish(DistContext& ctx) const {
+    const RedFn<T> fn{op};
+    T local = fn.identity();
+    partials->fold_into(local);
     const T global = ctx.comm().allreduce(
-        *local, op == RedOp::Sum   ? mpi::Op::Sum
-                : op == RedOp::Min ? mpi::Op::Min
-                                   : mpi::Op::Max);
-    Reducer<T>(target, op).combine(global);
+        local, op == RedOp::Sum   ? mpi::Op::Sum
+               : op == RedOp::Min ? mpi::Op::Min
+                                  : mpi::Op::Max);
+    *target = fn(*target, global);
   }
   void offer_iter(IterSpace&) const {}
 };
@@ -311,6 +326,7 @@ void par_loop(DistContext& ctx, K&& kernel, Args... args) {
   std::apply([&](const auto&... b) { (b.offer_iter(is), ...); }, binders);
   if (!is.iterate)
     throw std::invalid_argument("dist::par_loop: needs at least one dat arg");
+  std::apply([&](auto&... b) { (b.bind(is), ...); }, binders);
 
   std::apply([](const auto&... b) { (b.prepare(), ...); }, binders);
   is.iterate([&](std::ptrdiff_t li, std::ptrdiff_t lj, std::ptrdiff_t lk) {
@@ -349,6 +365,7 @@ void par_loop_overlap(DistContext& ctx, K kernel, Args... args) {
     par_loop(ctx, kernel, args...);
     return;
   }
+  std::apply([&](auto&... b) { (b.bind(is), ...); }, binders);
 
   // Interior box: every point whose full read stencil lies in locally
   // owned (or physical-ghost) cells, i.e. at distance >= radius from

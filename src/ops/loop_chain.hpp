@@ -308,9 +308,12 @@ class LoopChain {
 
     // Ghost expansion: suffix slow radii of the later loops.
     std::vector<long> expand(n, 0);
-    for (std::size_t i = n; i-- > 1;)
-      expand[i - 1] = expand[i] + nodes[b + i].radius_slow;
-    const long ghost = 2 * expand[0];
+    long suffix = 0;
+    for (std::size_t i = n; i-- > 1;) {
+      suffix += nodes[b + i].radius_slow;
+      expand[i - 1] = suffix;
+    }
+    const long ghost = 2 * suffix;
 
     // Slab working set per slow row across the segment's distinct dats.
     double row_bytes = 0.0;
@@ -340,6 +343,13 @@ class LoopChain {
       else if (n > 1 && fusable > 0.0)
         tile = hw::chain_tile_rows(host, row_bytes, extent, ghost);
     }
+
+    // A 1-D reduction's blocks are kReduceChunk chunks aligned to
+    // absolute coordinates (core/reducer.hpp); tiles on chunk multiples
+    // keep every chunk inside one tile, so the tiled fold matches the
+    // eager one bit for bit. 2-D/3-D row blocks need no rounding.
+    if (dims == 1 && tile > 0 && nodes[e - 1].reduction)
+      tile = (tile + kReduceChunk - 1) / kReduceChunk * kReduceChunk;
 
     if (tile == 0 || static_cast<long>(tile) >= extent) {
       if (live)

@@ -84,25 +84,65 @@ struct DatBinder {
   }
 };
 
-template <typename T>
-struct RedBinder {
-  T* target;
-  RedOp op;
-  [[nodiscard]] Reducer<T> make(long, long, long) const {
-    return Reducer<T>(target, op);
+/// Reduction blocks of one loop over `r` (core/reducer.hpp): one
+/// fast-dimension row per block for 2-D and 3-D loops, kReduceChunk
+/// chunks aligned to absolute coordinates for 1-D loops. Rows and
+/// chunks are fixed by the range alone, so a tiled sub-range of the
+/// loop (LoopChain) sees the same blocks in the same order.
+struct RedBlocks {
+  int dims = 1;
+  long lo0 = 0, lo1 = 0;
+  long ext1 = 1;
+  BlockPartition part;
+
+  RedBlocks(int d, const Range& r, const std::array<std::size_t, 3>& ext,
+            std::size_t total)
+      : dims(d), lo0(r.lo[0]), lo1(r.lo[1]),
+        ext1(static_cast<long>(ext[1])),
+        part(d == 1 ? BlockPartition::aligned(r.lo[0], total)
+                    : BlockPartition::uniform(
+                          total, ext[static_cast<std::size_t>(d - 1)])) {}
+
+  [[nodiscard]] std::size_t block_of(long i0, long i1) const {
+    if (dims == 1)
+      return static_cast<std::size_t>((i0 >> kReduceChunkShift) -
+                                      (lo0 >> kReduceChunkShift));
+    if (dims == 2) return static_cast<std::size_t>(i0 - lo0);
+    return static_cast<std::size_t>((i0 - lo0) * ext1 + (i1 - lo1));
   }
 };
 
 template <typename T>
-DatBinder<T> make_binder(const DatArg<T>& a, bool executing) {
+struct RedBinder {
+  T* target;
+  RedOp op;
+  const RedBlocks* blocks;
+  BlockPartials<T> partials;
+
+  [[nodiscard]] Reducer<T> make(long i0, long i1, long) const {
+    return Reducer<T>(partials.slot(blocks->block_of(i0, i1)), op);
+  }
+  void finish() const { partials.fold_into(*target); }
+};
+
+template <typename T>
+DatBinder<T> make_binder(const DatArg<T>& a, const RedBlocks&) {
   const int dims = a.dat->block().dims();
-  return DatBinder<T>{executing ? a.dat->origin() : nullptr, a.dat->stride_slow(),
+  return DatBinder<T>{a.dat->origin(), a.dat->stride_slow(),
                       a.dat->stride_mid(), a.dat->stride_fast(), dims};
 }
 
 template <typename T>
-RedBinder<T> make_binder(const RedArg<T>& a, bool /*executing*/) {
-  return RedBinder<T>{a.target, a.op};
+RedBinder<T> make_binder(const RedArg<T>& a, const RedBlocks& rb) {
+  return RedBinder<T>{a.target, a.op, &rb,
+                      BlockPartials<T>(a.op, rb.part.count())};
+}
+
+template <typename B>
+void finish_binder(const B&) {}
+template <typename T>
+void finish_binder(const RedBinder<T>& b) {
+  b.finish();
 }
 
 /// Does the argument pack contain a reduction? Reduction loops keep the
@@ -112,6 +152,19 @@ template <typename A>
 struct is_red_arg : std::false_type {};
 template <typename T>
 struct is_red_arg<RedArg<T>> : std::true_type {};
+
+/// An in-place stencil (Acc::RW read at a nonzero radius, e.g. a halo
+/// mirror whose outer layer copies the layer the same loop writes)
+/// reads points its own loop writes: the result is defined only by the
+/// ascending visit order, so such a loop always runs the Serial sweep.
+template <typename T>
+bool in_place_stencil(const DatArg<T>& a) {
+  return a.acc == Acc::RW && a.st.max_radius() > 0;
+}
+template <typename T>
+bool in_place_stencil(const RedArg<T>&) {
+  return false;
+}
 
 // --- profile accumulation ---------------------------------------------------
 
@@ -254,7 +307,8 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   rt::autotune::TunedLaunchParams sched_scope(site, ctx.opt.schedule,
                                               ctx.opt.grain);
 
-  auto binders = std::make_tuple(detail::make_binder(args, true)...);
+  const detail::RedBlocks blocks(dims, r, ext, total);
+  auto binders = std::make_tuple(detail::make_binder(args, blocks)...);
   auto invoke = [&](long i0, long i1, long i2) {
     std::apply(
         [&](const auto&... b) { kernel(b.make(i0, i1, i2)...); }, binders);
@@ -275,8 +329,24 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
     }
     invoke(r.lo[0] + i0, r.lo[1] + i1, r.lo[2] + i2);
   };
+  // Work-item body of the SYCL lowerings. A reduction loop runs whole
+  // blocks - the item at a block's first element sweeps the block in
+  // ascending order - so no slot is shared between threads and the
+  // result does not depend on how items are spread over the pool. The
+  // Serial backend's ascending sweep already fills every slot in order.
+  auto item_body = [&](std::size_t lin) {
+    if constexpr (has_red) {
+      if (!blocks.part.is_start(lin)) return;
+      const std::size_t k = blocks.part.first_at_or_after(lin);
+      for (std::size_t i = lin, e = blocks.part.end(k); i < e; ++i)
+        invoke_linear(i);
+    } else {
+      invoke_linear(lin);
+    }
+  };
 
-  switch (ctx.opt.backend) {
+  const bool in_place = (detail::in_place_stencil(args) || ...);
+  switch (in_place ? Backend::Serial : ctx.opt.backend) {
     case Backend::Serial:
       for (std::size_t lin = 0; lin < total; ++lin) invoke_linear(lin);
       break;
@@ -295,13 +365,22 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
         cb = cfg.cache_block.value_or(0);
       }
       const std::size_t fast = ext[static_cast<std::size_t>(dims - 1)];
-      if (dims >= 2 && cb > 0 && cb < fast) {
+      if (!has_red && dims >= 2 && cb > 0 && cb < fast) {
         rt::autotune::blocked_parallel_for(total / fast, fast, cb, vp,
                                            invoke_linear);
       } else {
         rt::ThreadPool::global().parallel_for(
             total, [&](std::size_t b, std::size_t e) {
-              rt::autotune::run_span_variant(vp, b, e, invoke_linear);
+              if constexpr (has_red) {
+                // Each chunk runs the blocks that start inside it.
+                blocks.part.for_each_starting_in(
+                    b, e, [&](std::size_t, std::size_t kb, std::size_t ke) {
+                      rt::autotune::run_span_variant(vp, kb, ke,
+                                                     invoke_linear);
+                    });
+              } else {
+                rt::autotune::run_span_variant(vp, b, e, invoke_linear);
+              }
             });
       }
       break;
@@ -310,18 +389,18 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
       if (dims == 1) {
         ctx.queue.parallel_for(meta.name, sycl::range<1>(ext[0]),
                                [&](sycl::item<1> it) {
-                                 invoke_linear(it.get_linear_id());
+                                 item_body(it.get_linear_id());
                                });
       } else if (dims == 2) {
         ctx.queue.parallel_for(meta.name, sycl::range<2>(ext[0], ext[1]),
                                [&](sycl::item<2> it) {
-                                 invoke_linear(it.get_linear_id());
+                                 item_body(it.get_linear_id());
                                });
       } else {
         ctx.queue.parallel_for(meta.name,
                                sycl::range<3>(ext[0], ext[1], ext[2]),
                                [&](sycl::item<3> it) {
-                                 invoke_linear(it.get_linear_id());
+                                 item_body(it.get_linear_id());
                                });
       }
       break;
@@ -365,7 +444,7 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
           inside = g0 < ext[0] && g1 < ext[1] && g2 < ext[2];
           lin = (g0 * ext[1] + g1) * ext[2] + g2;
         }
-        if (inside) invoke_linear(lin);
+        if (inside) item_body(lin);
       };
       if (dims == 1) {
         ctx.queue.parallel_for(
@@ -389,6 +468,9 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
       break;
     }
   }
+  // Fold every reduction's block partials into its target, in block order.
+  std::apply([](const auto&... b) { (detail::finish_binder(b), ...); },
+             binders);
 }
 
 }  // namespace syclport::ops

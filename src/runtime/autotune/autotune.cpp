@@ -593,7 +593,7 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
         st->best = cands.empty() ? Config{} : cands.front();
       } else {
         if (mode_ != Mode::Force && transfer_) {
-          if (const auto donor = find_donor_locked(site, key)) {
+          if (const auto donor = find_donor_locked(key)) {
             // Warm start: race the donor's winner against its nearest
             // neighbors in joint-axis space instead of the full cross
             // product. The donor config is raced verbatim - a foreign
@@ -643,7 +643,7 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
 }
 
 std::optional<Autotuner::Donor> Autotuner::find_donor_locked(
-    const Site& site, const std::string& key) const {
+    const std::string& key) const {
   const auto want = parse_key(key);
   if (!want) return std::nullopt;
   std::optional<Donor> best;

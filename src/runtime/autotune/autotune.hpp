@@ -153,7 +153,7 @@ class Autotuner {
     std::string provenance;
   };
   [[nodiscard]] std::optional<Donor> find_donor_locked(
-      const Site& site, const std::string& key) const;
+      const std::string& key) const;
 
   mutable std::mutex mu_;
   Mode mode_ = Mode::Off;

@@ -11,7 +11,9 @@
 ///   scheduled over the thread pool and work-items may use barriers and
 ///   local memory (fiber-backed, see runtime/fiber.hpp).
 /// - reductions             : SYCL 2020 reduction objects, implemented
-///   with per-chunk/per-group partials combined under a lock.
+///   with one partial per fixed block (flat) or per work-group (nd) in
+///   its own slot, folded in index order after the launch
+///   (core/reducer.hpp) - identical at any thread count and schedule.
 ///
 /// The handler runs in one of two modes (docs/queue.md):
 /// - immediate: kernels execute inline at the point of the
@@ -27,13 +29,13 @@
 #include <atomic>
 #include <concepts>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/reducer.hpp"
 #include "core/timing.hpp"
 #include "runtime/autotune/autotune.hpp"
 #include "runtime/autotune/variant.hpp"
@@ -196,32 +198,38 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
                       const reduction_descriptor<T, Op>& red, const K& k) {
   // Reductions race the variant menu too - every variant visits its
   // span in strictly ascending order (variant.hpp contract), so the
-  // per-chunk accumulation order is identical to the reference loop.
+  // per-block accumulation order is identical to the reference loop.
   // The cache-block axis, which does reorder, is NOT declared here.
   syclport::rt::autotune::TunedLaunchParams tuned(
       exec_site(name, Dims, to3(r), false,
                 syclport::rt::autotune::kVariantAxes));
   syclport::WallTimer t;
-  std::mutex mu;
-  T acc = red.identity;
+  // Fixed kReduceChunk blocks of the linear range; each parallel chunk
+  // runs the blocks that start inside it, one private reducer per block.
+  const auto part =
+      syclport::BlockPartition::uniform(r.size(), syclport::kReduceChunk);
+  const syclport::BlockPartials<T, Op> partials(red.op, red.identity,
+                                                part.count());
   const auto av = active_variant();
   syclport::rt::ThreadPool::global().parallel_for(
       r.size(), [&](std::size_t b, std::size_t e) {
-        reducer<T, Op> part(red.identity, red.op);
-        syclport::rt::autotune::run_span_variant(
-            av.vp, b, e, [&](std::size_t lin) {
-              const id<Dims> i = delinearize(lin, r);
-              if constexpr (std::invocable<const K&, item<Dims>,
-                                           reducer<T, Op>&>) {
-                k(item<Dims>(i, r), part);
-              } else {
-                k(i, part);
-              }
-            });
-        std::lock_guard lock(mu);
-        acc = red.op(acc, part.value());
+        part.for_each_starting_in(b, e, [&](std::size_t blk, std::size_t kb,
+                                            std::size_t ke) {
+          reducer<T, Op> acc(red.identity, red.op);
+          syclport::rt::autotune::run_span_variant(
+              av.vp, kb, ke, [&](std::size_t lin) {
+                const id<Dims> i = delinearize(lin, r);
+                if constexpr (std::invocable<const K&, item<Dims>,
+                                             reducer<T, Op>&>) {
+                  k(item<Dims>(i, r), acc);
+                } else {
+                  k(i, acc);
+                }
+              });
+          *partials.slot(blk) = acc.value();
+        });
       });
-  *red.target = red.op(*red.target, acc);
+  partials.fold_into(*red.target);
   log_launch(name, Dims, to3(r), std::nullopt, false, true, t.seconds(),
              syclport::rt::ThreadPool::last_stats());
 }
@@ -265,8 +273,9 @@ void exec_nd_reduce(const device& dev, const char* name,
   const range<Dims> groups = ndr.get_group_range();
   const range<Dims> local = ndr.get_local_range();
   const range<Dims> global = ndr.get_global_range();
-  std::mutex mu;
-  T acc = red.identity;
+  // One partial per work-group, folded in group order.
+  const syclport::BlockPartials<T, Op> partials(red.op, red.identity,
+                                                groups.size());
   std::atomic<bool> used_barrier{false};
   syclport::rt::ThreadPool::global().run_chunks(
       groups.size(), [&](std::size_t g) {
@@ -284,10 +293,9 @@ void exec_nd_reduce(const device& dev, const char* name,
                 part);
             });
         if (b) used_barrier.store(true, std::memory_order_relaxed);
-        std::lock_guard lock(mu);
-        acc = red.op(acc, part.value());
+        *partials.slot(g) = part.value();
       });
-  *red.target = red.op(*red.target, acc);
+  partials.fold_into(*red.target);
   log_launch(name, Dims, to3(global), to3(local), used_barrier.load(), true,
              t.seconds(), syclport::rt::ThreadPool::last_stats());
 }

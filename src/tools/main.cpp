@@ -17,6 +17,8 @@
 // MG-CFD adds --strategy atomics|global|hierarchical.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -197,7 +199,8 @@ int cmd_validate(AppId app, const std::string& backend_name) {
                                {"sycl-flat", ops::Backend::SyclFlat},
                                {"sycl-nd", ops::Backend::SyclNd},
                                {"mpi", ops::Backend::MPI}};
-  report::Table t({"backend", "checksum"});
+  report::Table t({"backend", "checksum (%.17g, bits)", "vs serial"});
+  std::optional<double> serial;
   for (const Be& be : all) {
     if (!backend_name.empty() && backend_name != be.name) continue;
     ops::Options o;
@@ -233,11 +236,17 @@ int cmd_validate(AppId app, const std::string& backend_name) {
         break;
       }
     }
-    t.add_row({be.name, report::fmt(rs.checksum, 9)});
+    if (be.b == ops::Backend::Serial) serial = rs.checksum;
+    const char* verdict = !serial ? "n/a"
+                          : std::bit_cast<std::uint64_t>(rs.checksum) ==
+                                  std::bit_cast<std::uint64_t>(*serial)
+                              ? "bit-exact"
+                              : "DIFFERS";
+    t.add_row({be.name, report::exact(rs.checksum), verdict});
   }
   std::cout << to_string(app) << " functional validation:\n";
   t.render(std::cout);
-  std::cout << "(all backends must print the same checksum)\n";
+  std::cout << "(every backend must be bit-exact with serial)\n";
   return 0;
 }
 

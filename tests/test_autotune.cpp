@@ -380,7 +380,7 @@ TEST(Autotune, CacheRejectsForeignVersionTamperAndTruncation) {
   data.fingerprint = "cores=8;l1d=32768;l2=1048576;llc=16777216;triad_log2=4";
   at::Config cfg;
   cfg.grain = 1024;
-  data.entries = {{"k1|1|65536x1x1|flat|fp16", cfg}};
+  data.entries = {{"k1|1|65536x1x1|flat|fp16", cfg, ""}};
   ASSERT_TRUE(at::write_cache(path, data));
   ASSERT_TRUE(at::read_cache(path).has_value());
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "core/report.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/elastic.hpp"
 #include "ops/dist.hpp"
@@ -37,6 +38,7 @@
 #include "sycl/sycl.hpp"
 
 namespace fault = syclport::rt::fault;
+namespace report = syclport::report;
 namespace mem = syclport::rt::mem;
 namespace at = syclport::rt::autotune;
 namespace mpi = syclport::mpi;
@@ -378,7 +380,7 @@ TEST(FaultCache, InjectedBitFlipRejectsFileAndCountsRecovery) {
   data.fingerprint = "cores=4;l1d=32768;l2=1048576;llc=8388608;triad_log2=4";
   at::Config cfg;
   cfg.grain = 512;
-  data.entries = {{"kern|1|4096x1x1|flat|fp9", cfg}};
+  data.entries = {{"kern|1|4096x1x1|flat|fp9", cfg, ""}};
   ASSERT_TRUE(at::write_cache(path, data));
   ASSERT_TRUE(at::read_cache(path).has_value());  // clean load works
 
@@ -645,7 +647,9 @@ struct AppCase {
   fault::clear();
   const double v = run_app_checksum(app);
   // Guard the premise: the workload itself is run-to-run deterministic.
-  EXPECT_EQ(run_app_checksum(app), v) << app << " is nondeterministic";
+  const double again = run_app_checksum(app);
+  EXPECT_EQ(again, v) << app << " is nondeterministic: "
+                      << report::exact(again) << " vs " << report::exact(v);
   cache.emplace_back(app, v);
   return v;
 }
@@ -665,7 +669,8 @@ TEST_P(AppChaos, CompletesBitExactUnderInjection) {
   const auto fs = fault::stats();
   fault::clear();
   EXPECT_EQ(chaotic, reference)
-      << c.app << " under " << c.spec << " seed " << c.seed;
+      << c.app << " under " << c.spec << " seed " << c.seed << ": "
+      << report::exact(chaotic) << " vs " << report::exact(reference);
   // Every recoverable injection was in fact recovered.
   EXPECT_EQ(fs.total_recovered(),
             fs.injected_at(fault::Site::MemAlloc) +
@@ -723,8 +728,10 @@ TEST(AppChaos, RandomizedSeedScheduleFromEnvironment) {
   const double reference = clean_reference("cloverleaf2d");
   ScopedPlan plan(std::to_string(seed) +
                   ":mem.*=0.1x8,pool.stall=0.1x4");
-  EXPECT_EQ(run_app_checksum("cloverleaf2d"), reference)
-      << "reproduce with SYCLPORT_CHAOS_SEED=" << seed;
+  const double chaotic = run_app_checksum("cloverleaf2d");
+  EXPECT_EQ(chaotic, reference)
+      << report::exact(chaotic) << " vs " << report::exact(reference)
+      << "; reproduce with SYCLPORT_CHAOS_SEED=" << seed;
 }
 
 // ---------------------------------------------------------------------------

@@ -163,8 +163,11 @@ TEST(Mgcfd, ModelOnlyPaperScaleMeshTooBigIsNotBuilt) {
   const auto rs = apps::run_mgcfd(o, mesh, 2);
   EXPECT_EQ(rs.checksum, 0.0);
   EXPECT_GT(rs.profiles.size(), 20u);
-  for (const auto& p : rs.profiles)
-    if (p.name == "compute_flux") EXPECT_GT(p.launches, 0u);
+  for (const auto& p : rs.profiles) {
+    if (p.name == "compute_flux") {
+      EXPECT_GT(p.launches, 0u);
+    }
+  }
 }
 
 

@@ -46,8 +46,8 @@ namespace at = syclport::rt::autotune;
 namespace {
 
 constexpr std::size_t kN = 768;       // 768^2 doubles x 2 dats = 9 MiB
-constexpr int kColdIters = 480;       // enough to drain any race here
-                                      // (schedule x variant-menu joint)
+constexpr int kColdIters = 480;       // enough to drain the schedule x
+                                      // grain race several times over
 constexpr const char* kCache = "ablation_autotune.cache.json";
 
 /// One bandwidth-bound 5-point sweep b = lap(a) over an n x n block.
@@ -79,14 +79,15 @@ struct Sweep {
   }
 
   /// The tuning site ops::par_loop derives for this sweep, for
-  /// querying the tuner's verdict. Flat 2D non-reduction sweeps race
-  /// the kernel-variant menu and the cache-blocked traversal too.
+  /// querying the tuner's verdict: a flat sweep races schedule x grain.
+  /// main() fails if the tuner never converges on this key, so a drift
+  /// from par_loop's derivation cannot pass silently.
   [[nodiscard]] static at::Site site() {
     at::Site s;
     s.name = "tune_sweep";
     s.dims = 2;
     s.global = {kN, kN, 1};
-    s.axes = at::kScheduleGrain | at::kVariantAxes | at::kCacheBlock;
+    s.axes = at::kScheduleGrain;
     return s;
   }
 };
@@ -190,7 +191,15 @@ int main() {
   }
   const std::uint64_t explored = tuner.explored_launches();
   const auto winner = tuner.best(Sweep::site());
-  const std::string winner_str = winner ? winner->to_string() : "(none)";
+  if (!winner) {
+    std::cerr << "error: no tuned winner for " << Sweep::site().key()
+              << " after " << kColdIters
+              << " cold iterations; Sweep::site() no longer matches the "
+                 "site ops::par_loop derives\n";
+    std::remove(kCache);
+    return 1;
+  }
+  const std::string winner_str = winner->to_string();
 
   // Steady state vs the best hand-set schedule under one protocol:
   // interleaved best-of-rounds, so OS timeslicing and thermal drift

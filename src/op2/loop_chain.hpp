@@ -257,10 +257,10 @@ class LoopChain {
     for (std::size_t i = b; i < e; ++i) reduces |= nodes[i].reduction;
     if (reduces)
       detail::sweep_list<true>(ctx_->opt.exec, ctx_->queue, site_name, n,
-                               rt::autotune::VariantParams{}, invoke_all);
+                               invoke_all);
     else
       detail::sweep_list<false>(ctx_->opt.exec, ctx_->queue, site_name, n,
-                                rt::autotune::VariantParams{}, invoke_all);
+                                invoke_all);
     for (const auto& f : loops) f->close();
   }
 

@@ -26,7 +26,6 @@
 #include "op2/renumber.hpp"
 #include "op2/stage.hpp"
 #include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sycl/launch_log.hpp"
 
@@ -126,8 +125,7 @@ struct is_gbl_arg<GblArg<T>> : std::true_type {};
 /// split freely.
 template <bool Whole, typename F>
 void sweep_list(Exec exec, ::sycl::queue& q, const char* name,
-                std::size_t count, const rt::autotune::VariantParams& vp,
-                F&& body) {
+                std::size_t count, F&& body) {
   const BlockPartition part = BlockPartition::uniform(count, kReduceChunk);
   switch (exec) {
     case Exec::Serial:
@@ -140,18 +138,14 @@ void sweep_list(Exec exec, ::sycl::queue& q, const char* name,
             if constexpr (Whole) {
               part.for_each_starting_in(
                   b, e, [&](std::size_t k, std::size_t kb, std::size_t ke) {
-                    rt::autotune::run_span_variant(
-                        vp, kb, ke, [&](std::size_t i) { body(i, k); });
+                    for (std::size_t i = kb; i < ke; ++i) body(i, k);
                   });
             } else {
-              rt::autotune::run_span_variant(
-                  vp, b, e, [&](std::size_t i) { body(i, 0); });
+              for (std::size_t i = b; i < e; ++i) body(i, 0);
             }
           });
       break;
     case Exec::Sycl:
-      // The handler's exec_flat applies the variant decided for this
-      // loop's scope (it reads the innermost tuning config).
       q.parallel_for(name, ::sycl::range<1>(count), [&](::sycl::item<1> it) {
         const std::size_t i = it.get_linear_id();
         if constexpr (Whole) {
@@ -409,25 +403,12 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   rt::autotune::Site site;
   site.name = meta.name;
   site.global = {n, 1, 1};
-  // Direct sweeps (no colouring plan in the way) also race the
-  // kernel-variant menu on the parallel lowerings: gather/scatter
-  // kernels are exactly where register tiling hides indirection
-  // latency. The staged lowering's tile sweeps honour the ascending
-  // order contract too. Coloured strategies keep the reference loop -
-  // their sweep order is the correctness contract.
-  const bool direct_sweep = conflict == nullptr ||
-                            ctx_strat == Strategy::Atomics ||
-                            ctx_strat == Strategy::None ||
-                            ctx_strat == Strategy::Staged;
   // Indirect-increment loops additionally race the race-resolution
   // strategy jointly with the gathered dats' physical layout - unless
   // the user pinned either knob through the environment.
   const bool pinned = strategy_from_env().has_value() ||
                       rt::env::get("SYCLPORT_LAYOUT").has_value();
   site.axes = rt::autotune::kScheduleGrain |
-              (direct_sweep && ctx.opt.exec != Exec::Serial
-                   ? rt::autotune::kVariantAxes
-                   : 0u) |
               (conflict != nullptr && !pinned
                    ? rt::autotune::kIndirect | rt::autotune::kLayout
                    : 0u);
@@ -437,19 +418,13 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   // then re-derive the lowering: any non-AoS operand (tuner-chosen or
   // app-chosen) forces the staged path.
   Strategy strat = ctx_strat;
-  rt::autotune::VariantParams vp;
-  if (sched_scope.phase() != rt::autotune::Phase::None) {
+  if (sched_scope.phase() != rt::autotune::Phase::None && conflict != nullptr) {
     const auto& cfg = sched_scope.config();
-    vp.reg_tile = cfg.reg_tile.value_or(1);
-    vp.vec_width = cfg.vec_width.value_or(1);
-    vp.unroll = cfg.unroll.value_or(1);
-    if (conflict != nullptr) {
-      if (cfg.indirect && *cfg.indirect >= 1 && *cfg.indirect <= 4)
-        strat = static_cast<Strategy>(*cfg.indirect);
-      if (cfg.layout && *cfg.layout >= 0 && *cfg.layout <= 2)
-        (detail::relayout_indirect(args, static_cast<Layout>(*cfg.layout)),
-         ...);
-    }
+    if (cfg.indirect && *cfg.indirect >= 1 && *cfg.indirect <= 4)
+      strat = static_cast<Strategy>(*cfg.indirect);
+    if (cfg.layout && *cfg.layout >= 0 && *cfg.layout <= 2)
+      (detail::relayout_indirect(args, static_cast<Layout>(*cfg.layout)),
+       ...);
   }
   const bool non_aos_now = (detail::arg_non_aos(args) || ...);
   if (conflict != nullptr && non_aos_now) strat = Strategy::Staged;
@@ -487,7 +462,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     auto targs = std::forward_as_tuple(args...);
     detail::staged_loop(
         ctx, meta.name, n,
-        conflict != nullptr ? conflict->map->to().size() : std::size_t{0}, vp,
+        conflict != nullptr ? conflict->map->to().size() : std::size_t{0},
         kernel, targs);
     log_decision();
     return;
@@ -509,7 +484,7 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     detail::open_sweeps(binders,
                         BlockPartition::uniform(count, kReduceChunk).count());
     detail::sweep_list<has_gbl>(
-        ctx.opt.exec, ctx.queue, meta.name, count, vp,
+        ctx.opt.exec, ctx.queue, meta.name, count,
         [&](std::size_t i, std::size_t blk) {
           invoke(elems != nullptr ? static_cast<std::size_t>((*elems)[i]) : i,
                  blk);
@@ -624,7 +599,7 @@ void par_loop_subset(Context& ctx, Meta meta, Set& set,
       binders, BlockPartition::uniform(elems.size(), kReduceChunk).count());
   detail::sweep_list<has_gbl>(
       ctx.opt.exec, ctx.queue, meta.name, elems.size(),
-      rt::autotune::VariantParams{}, [&](std::size_t i, std::size_t blk) {
+      [&](std::size_t i, std::size_t blk) {
         std::apply(
             [&](const auto&... b) {
               kernel(b.make(static_cast<std::size_t>(elems[i]), atomic,

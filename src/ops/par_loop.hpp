@@ -22,7 +22,6 @@
 #include "ops/block.hpp"
 #include "ops/context.hpp"
 #include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace syclport::ops {
@@ -145,9 +144,8 @@ void finish_binder(const RedBinder<T>& b) {
   b.finish();
 }
 
-/// Does the argument pack contain a reduction? Reduction loops keep the
-/// ascending-order-only variant axes but must not race the cache-block
-/// axis (its traversal reorder would change accumulation order).
+/// Does the argument pack contain a reduction? Reduction loops run whole
+/// reduction blocks per chunk or work-item.
 template <typename A>
 struct is_red_arg : std::false_type {};
 template <typename T>
@@ -289,24 +287,13 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   site.dims = dims;
   site.global = ext;
   site.nd = ctx.opt.backend == Backend::SyclNd;
-  // Flat sweeps (pool and SYCL flat lowerings) additionally race the
-  // kernel-variant menu, and - for independent-point multi-dimensional
-  // loops - the cache-blocked traversal. The Serial backend stays the
-  // pure reference loop, and nd_range keeps its shape contract.
-  constexpr bool has_red = (detail::is_red_arg<Args>::value || ...);
-  const bool flat_sweep = ctx.opt.backend == Backend::Threads ||
-                          ctx.opt.backend == Backend::MPI ||
-                          ctx.opt.backend == Backend::MPIThreads ||
-                          ctx.opt.backend == Backend::SyclFlat;
   site.axes = rt::autotune::kScheduleGrain |
-              (site.nd ? rt::autotune::kWorkGroup : 0u) |
-              (flat_sweep ? rt::autotune::kVariantAxes : 0u) |
-              (flat_sweep && !has_red && dims >= 2 ? rt::autotune::kCacheBlock
-                                                   : 0u);
+              (site.nd ? rt::autotune::kWorkGroup : 0u);
   site.max_wg = ctx.queue.get_device().max_work_group_size();
   rt::autotune::TunedLaunchParams sched_scope(site, ctx.opt.schedule,
                                               ctx.opt.grain);
 
+  constexpr bool has_red = (detail::is_red_arg<Args>::value || ...);
   const detail::RedBlocks blocks(dims, r, ext, total);
   auto binders = std::make_tuple(detail::make_binder(args, blocks)...);
   auto invoke = [&](long i0, long i1, long i2) {
@@ -355,34 +342,19 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
     case Backend::MPIThreads: {
       // MPI backends are semantically identical sweeps on shared memory;
       // their decomposition cost is carried by the recorded halo profile.
-      rt::autotune::VariantParams vp;
-      std::size_t cb = 0;
-      if (sched_scope.phase() != rt::autotune::Phase::None) {
-        const auto& cfg = sched_scope.config();
-        vp.reg_tile = cfg.reg_tile.value_or(1);
-        vp.vec_width = cfg.vec_width.value_or(1);
-        vp.unroll = cfg.unroll.value_or(1);
-        cb = cfg.cache_block.value_or(0);
-      }
-      const std::size_t fast = ext[static_cast<std::size_t>(dims - 1)];
-      if (!has_red && dims >= 2 && cb > 0 && cb < fast) {
-        rt::autotune::blocked_parallel_for(total / fast, fast, cb, vp,
-                                           invoke_linear);
-      } else {
-        rt::ThreadPool::global().parallel_for(
-            total, [&](std::size_t b, std::size_t e) {
-              if constexpr (has_red) {
-                // Each chunk runs the blocks that start inside it.
-                blocks.part.for_each_starting_in(
-                    b, e, [&](std::size_t, std::size_t kb, std::size_t ke) {
-                      rt::autotune::run_span_variant(vp, kb, ke,
-                                                     invoke_linear);
-                    });
-              } else {
-                rt::autotune::run_span_variant(vp, b, e, invoke_linear);
-              }
-            });
-      }
+      rt::ThreadPool::global().parallel_for(
+          total, [&](std::size_t b, std::size_t e) {
+            if constexpr (has_red) {
+              // Each chunk runs the blocks that start inside it.
+              blocks.part.for_each_starting_in(
+                  b, e, [&](std::size_t, std::size_t kb, std::size_t ke) {
+                    for (std::size_t lin = kb; lin < ke; ++lin)
+                      invoke_linear(lin);
+                  });
+            } else {
+              for (std::size_t lin = b; lin < e; ++lin) invoke_linear(lin);
+            }
+          });
       break;
     }
     case Backend::SyclFlat: {

@@ -1,13 +1,11 @@
 #include "runtime/autotune/autotune.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "core/factorize.hpp"
 #include "runtime/autotune/cache.hpp"
 #include "runtime/autotune/fingerprint.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/env.hpp"
 #include "runtime/mem/mem.hpp"
 
@@ -25,7 +23,6 @@ constexpr int kMaxRunsPerCandidate = 8;
 struct ActiveScope {
   Phase phase = Phase::None;
   const Config* cfg = nullptr;
-  const char* seed = nullptr;  ///< transfer provenance, tuner-owned
 };
 thread_local ActiveScope t_scope;
 
@@ -42,13 +39,6 @@ thread_local std::optional<bool> t_tune_override;
 [[nodiscard]] std::string cache_path_from_env() {
   if (const auto p = env::get("SYCLPORT_TUNE_CACHE")) return std::string(*p);
   return ".syclport_tune.json";
-}
-
-[[nodiscard]] bool transfer_from_env() {
-  static constexpr std::string_view allowed[] = {"off", "on"};
-  if (const auto i = env::get_choice("SYCLPORT_TUNE_TRANSFER", allowed))
-    return *i == 1;
-  return true;
 }
 
 void append_token(std::string& out, const char* key, const std::string& val) {
@@ -110,13 +100,9 @@ void append_token(std::string& out, const char* key, const std::string& val) {
 
   if (site.axes & kScheduleGrain) {
     // Grain only matters for range-splitting launches; nd_range sites
-    // schedule whole groups, so vary schedule alone there. Variant
-    // sites also race schedule alone: the register-tile/unroll shapes
-    // restructure each chunk internally, and crossing grains into the
-    // joint variant menu would square the candidate count for a knob
-    // the variants largely subsume.
+    // schedule whole groups, so vary schedule alone there.
     std::vector<std::size_t> grains{1};
-    if (!(site.axes & (kWorkGroup | kVariantAxes))) {
+    if (!(site.axes & kWorkGroup)) {
       for (const std::size_t g : priors.grains)
         if (g > 1 && g * 2 <= site.total() &&
             std::find(grains.begin(), grains.end(), g) == grains.end())
@@ -200,59 +186,12 @@ void append_token(std::string& out, const char* key, const std::string& val) {
       }
     });
   }
-  if (site.axes & kVariantAxes) {
-    // One joint menu, not a cross product: the priors' cross product is
-    // intersected with the compiled menu (only instantiations that
-    // exist can be handed out) and pruned by the register-capacity
-    // bound (a shape whose live state spills is never worth racing).
-    std::vector<VariantParams> menu{VariantParams{}};
-    for (const int rt : priors.reg_tiles)
-      for (const int vw : priors.vec_widths)
-        for (const int u : priors.unrolls) {
-          if (rt <= 0 || vw <= 0 || u <= 0) continue;
-          const VariantParams vp{rt, vw, u};
-          if (variant_menu_index(vp) < 0) continue;
-          if (vp.span() > priors.max_variant_elems) continue;
-          if (static_cast<std::size_t>(vp.span()) * 2 > site.total()) continue;
-          if (std::find(menu.begin(), menu.end(), vp) == menu.end())
-            menu.push_back(vp);
-        }
-    cross([&](const Config& c, std::vector<Config>& next) {
-      for (const auto& vp : menu) {
-        Config d = c;
-        d.reg_tile = vp.reg_tile;
-        d.vec_width = vp.vec_width;
-        d.unroll = vp.unroll;
-        next.push_back(d);
-      }
-    });
-  }
-  if (site.axes & kCacheBlock) {
-    // Fast (innermost) extent bounds the block: a block that covers the
-    // whole fast dimension is the unblocked traversal.
-    const std::size_t fast =
-        site.global[static_cast<std::size_t>(std::max(1, site.dims) - 1)];
-    std::vector<std::size_t> blocks{0};
-    for (const std::size_t cb : priors.cache_blocks)
-      if (cb > 0 && cb * 2 <= fast &&
-          std::find(blocks.begin(), blocks.end(), cb) == blocks.end())
-        blocks.push_back(cb);
-    if (blocks.size() > 1) {
-      cross([&](const Config& c, std::vector<Config>& next) {
-        for (const std::size_t cb : blocks) {
-          Config d = c;
-          d.cache_block = cb;
-          next.push_back(d);
-        }
-      });
-    }
-  }
   if (site.axes & (kIndirect | kLayout)) {
     // Strategy and layout are one joint axis: a non-AoS layout only
     // executes through the staged lowering (the eager binders hand out
     // raw AoS pointers), so crossing them independently would generate
     // candidates the runtime must coerce anyway. Dropped (-1) prior
-    // entries shrink the menu; dedup keeps donor-seeded orders clean.
+    // entries shrink the menu; duplicate entries are raced once.
     struct IL { int indirect, layout; };
     std::vector<IL> menu;
     auto push = [&](int ind, int lay) {
@@ -290,60 +229,6 @@ void append_token(std::string& out, const char* key, const std::string& val) {
   return set;
 }
 
-/// Joint-axis Hamming distance between two configurations: how many of
-/// the tuner's joint axes (schedule+grain, local shape, overlap,
-/// tile+fuse, first-touch, variant shape, cache block) differ. The
-/// transfer seeder ranks neighbors of a donor winner by this.
-[[nodiscard]] int axis_diff(const Config& a, const Config& b) {
-  int d = 0;
-  d += static_cast<int>(a.schedule != b.schedule || a.grain != b.grain);
-  d += static_cast<int>(a.local != b.local);
-  d += static_cast<int>(a.overlap_queue != b.overlap_queue);
-  d += static_cast<int>(a.tile != b.tile || a.fuse != b.fuse);
-  d += static_cast<int>(a.first_touch != b.first_touch);
-  d += static_cast<int>(a.reg_tile != b.reg_tile ||
-                        a.vec_width != b.vec_width || a.unroll != b.unroll);
-  d += static_cast<int>(a.cache_block != b.cache_block);
-  d += static_cast<int>(a.layout != b.layout || a.indirect != b.indirect);
-  return d;
-}
-
-/// Fields of a Site::key() the donor search scores on (parsed back from
-/// the stored string so cache entries from other runs/machines can be
-/// ranked without their Site).
-struct KeyInfo {
-  std::string name;
-  int fp_class = -1;
-  unsigned axes = 0;
-};
-
-[[nodiscard]] std::optional<KeyInfo> parse_key(std::string_view key) {
-  KeyInfo info;
-  const auto bar = key.find('|');
-  if (bar == std::string_view::npos) return std::nullopt;
-  info.name = std::string(key.substr(0, bar));
-  auto field_after = [&](std::string_view tag) -> std::optional<long> {
-    const auto at = key.rfind(tag);
-    if (at == std::string_view::npos) return std::nullopt;
-    long v = 0;
-    bool any = false;
-    for (std::size_t i = at + tag.size(); i < key.size(); ++i) {
-      const char c = key[i];
-      if (c < '0' || c > '9') break;
-      v = v * 10 + (c - '0');
-      any = true;
-    }
-    if (!any) return std::nullopt;
-    return v;
-  };
-  const auto fp = field_after("|fp");
-  const auto ax = field_after("|ax");
-  if (!fp || !ax) return std::nullopt;
-  info.fp_class = static_cast<int>(*fp);
-  info.axes = static_cast<unsigned>(*ax);
-  return info;
-}
-
 }  // namespace
 
 // --- Config / Site ----------------------------------------------------------
@@ -373,11 +258,6 @@ std::string Config::to_string() const {
   if (first_touch)
     append_token(out, "first_touch", *first_touch ? "on" : "off");
   if (fuse) append_token(out, "fuse", *fuse ? "on" : "off");
-  if (reg_tile) append_token(out, "reg_tile", std::to_string(*reg_tile));
-  if (vec_width) append_token(out, "vec", std::to_string(*vec_width));
-  if (unroll) append_token(out, "unroll", std::to_string(*unroll));
-  if (cache_block)
-    append_token(out, "cache_block", std::to_string(*cache_block));
   if (layout) {
     static constexpr std::array<const char*, 3> kLayouts = {"aos", "soa",
                                                             "aosoa"};
@@ -451,22 +331,6 @@ std::optional<Config> Config::parse(std::string_view s) {
       if (val == "on") cfg.fuse = true;
       else if (val == "off") cfg.fuse = false;
       else return std::nullopt;
-    } else if (key == "reg_tile") {
-      const auto v = parse_size(val);
-      if (!v || *v == 0) return std::nullopt;
-      cfg.reg_tile = static_cast<int>(*v);
-    } else if (key == "vec") {
-      const auto v = parse_size(val);
-      if (!v || *v == 0) return std::nullopt;
-      cfg.vec_width = static_cast<int>(*v);
-    } else if (key == "unroll") {
-      const auto v = parse_size(val);
-      if (!v || *v == 0) return std::nullopt;
-      cfg.unroll = static_cast<int>(*v);
-    } else if (key == "cache_block") {
-      const auto v = parse_size(val);
-      if (!v) return std::nullopt;
-      cfg.cache_block = *v;
     } else if (key == "layout") {
       if (val == "aos") cfg.layout = 0;
       else if (val == "soa") cfg.layout = 1;
@@ -511,10 +375,10 @@ std::string Site::key() const {
   out += "|fp";
   out += std::to_string(fp_class);
   // Axis mask: two same-named same-shaped sites with different declared
-  // axis sets (a Threads lowering racing kernel variants vs a Serial
-  // one racing schedule alone) must never collide in the cache - a
-  // winner with axes the other lowering cannot act on would silently
-  // pin the wrong knobs.
+  // axis sets (an op2 loop racing the indirect strategy vs one with the
+  // strategy pinned) must never collide in the cache - a winner with
+  // axes the other lowering cannot act on would silently pin the wrong
+  // knobs.
   out += "|ax";
   out += std::to_string(axes);
   return out;
@@ -524,8 +388,6 @@ std::string Site::key() const {
 
 Autotuner& Autotuner::instance() {
   static Autotuner tuner(mode_from_env(), std::string{}, cache_path_from_env());
-  static const bool env_init = (tuner.set_transfer(transfer_from_env()), true);
-  (void)env_init;
   return tuner;
 }
 
@@ -553,9 +415,8 @@ void Autotuner::ensure_loaded_locked() {
   const auto data = read_cache(cache_path_);
   if (!data) return;
   // Keep every entry, including ones measured on other machines: a
-  // foreign winner is never served directly (the fp gate in decide()),
-  // but it is exactly what the transfer seeder wants - a nearby
-  // platform's converged configuration to warm-start this one's race.
+  // foreign winner is never served (the fp gate in decide()), but a
+  // rewrite of a shared cache must not erase it.
   cached_ = data->entries;
   for (auto& e : cached_)
     if (e.fp.empty()) e.fp = data->fingerprint;
@@ -573,8 +434,7 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
     auto st = std::make_unique<KeyState>();
     st->key = key;
     if (mode_ != Mode::Force) {
-      // Direct hit only for a winner measured on *this* machine; a
-      // foreign entry feeds the transfer seeder below instead.
+      // A hit only for a winner measured on *this* machine.
       const auto hit = std::find_if(
           cached_.begin(), cached_.end(), [&](const CacheData::Entry& e) {
             return e.key == key && e.fp == fingerprint_;
@@ -592,32 +452,6 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
         st->decided = true;
         st->best = cands.empty() ? Config{} : cands.front();
       } else {
-        if (mode_ != Mode::Force && transfer_) {
-          if (const auto donor = find_donor_locked(key)) {
-            // Warm start: race the donor's winner against its nearest
-            // neighbors in joint-axis space instead of the full cross
-            // product. The donor config is raced verbatim - a foreign
-            // value that does not suit this site degrades gracefully
-            // (unknown variant shapes fall back to the reference loop,
-            // oversized grains/tiles collapse to one chunk) and simply
-            // loses the race.
-            std::stable_sort(cands.begin(), cands.end(),
-                             [&](const Config& a, const Config& b) {
-                               return axis_diff(a, donor->config) <
-                                      axis_diff(b, donor->config);
-                             });
-            std::vector<Config> pool{donor->config};
-            for (const Config& c : cands) {
-              if (pool.size() >= 6) break;
-              if (c == donor->config) continue;
-              pool.push_back(c);
-            }
-            if (pool.size() >= 2) {
-              cands = std::move(pool);
-              st->seeded_from = donor->provenance;
-            }
-          }
-        }
         st->all.reserve(cands.size());
         for (auto& c : cands) st->all.push_back({std::move(c), 1e30, 0, 0});
         st->alive.resize(st->all.size());
@@ -628,8 +462,7 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
   }
   const auto key_id = it->second;
   KeyState& st = *states_[key_id];
-  const char* seed = st.seeded_from.empty() ? nullptr : st.seeded_from.c_str();
-  if (st.decided) return {Phase::Exploiting, st.best, key_id, 0, seed};
+  if (st.decided) return {Phase::Exploiting, st.best, key_id, 0};
 
   // Least-assigned surviving candidate next: round-robin coverage, and
   // unreported launches (exceptions, in-flight concurrency) never
@@ -639,43 +472,7 @@ Autotuner::Decision Autotuner::decide(const Site& site) {
     if (st.all[i].assigned < st.all[pick].assigned) pick = i;
   ++st.all[pick].assigned;
   ++explored_;
-  return {Phase::Exploring, st.all[pick].cfg, key_id, pick, seed};
-}
-
-std::optional<Autotuner::Donor> Autotuner::find_donor_locked(
-    const std::string& key) const {
-  const auto want = parse_key(key);
-  if (!want) return std::nullopt;
-  std::optional<Donor> best;
-  double best_score = 1e30;
-  auto consider = [&](const std::string& donor_key, const Config& cfg,
-                      const std::string& fp) {
-    if (donor_key == key && fp == fingerprint_) return;  // ourselves
-    const auto info = parse_key(donor_key);
-    if (!info) return;  // pre-v3 key without an axis mask: not rankable
-    // A donor must have raced exactly the axes this site declares -
-    // transferring a winner across axis sets would pin knobs the
-    // receiving lowering never consumes (or miss ones it needs).
-    if (info->axes != want->axes) return;
-    // Platform distance dominates (the paper's point: winners differ
-    // per platform far more than per kernel); footprint class breaks
-    // platform ties, same-name kernels break footprint ties.
-    double score = 10.0 * fingerprint_distance(fp, fingerprint_);
-    score += std::abs(info->fp_class - want->fp_class);
-    if (info->name != want->name) score += 0.5;
-    if (score < best_score) {
-      best_score = score;
-      Donor d;
-      d.config = cfg;
-      d.provenance = donor_key;
-      if (fp != fingerprint_) d.provenance += "@" + fp;
-      best = std::move(d);
-    }
-  };
-  for (const auto& st : states_)
-    if (st->decided) consider(st->key, st->best, fingerprint_);
-  for (const auto& e : cached_) consider(e.key, e.config, e.fp);
-  return best;
+  return {Phase::Exploring, st.all[pick].cfg, key_id, pick};
 }
 
 void Autotuner::report(const Decision& d, double seconds) {
@@ -741,13 +538,6 @@ void Autotuner::set_priors(const Priors& p) {
   priors_ = p;
 }
 
-std::string Autotuner::seeded_from(const Site& site) const {
-  std::lock_guard lock(mu_);
-  const auto it = index_.find(site.key());
-  if (it == index_.end()) return {};
-  return states_[it->second]->seeded_from;
-}
-
 bool Autotuner::save() const {
   std::lock_guard lock(mu_);
   return save_locked();
@@ -758,8 +548,7 @@ bool Autotuner::save_locked() const {
   CacheData data;
   data.fingerprint = fingerprint_;
   // Keep entries for kernels this run never saw - foreign-machine
-  // entries included, so a shared cache keeps accumulating transfer
-  // donors across the cluster.
+  // entries included, so a shared cache keeps every machine's winners.
   data.entries = cached_;
   for (const auto& st : states_) {
     if (!st->decided) continue;
@@ -803,60 +592,6 @@ ScopedTune::~ScopedTune() { t_tune_override = saved_; }
 
 Phase current_phase() noexcept { return t_scope.phase; }
 const Config* current_config() noexcept { return t_scope.cfg; }
-const char* current_seed() noexcept { return t_scope.seed; }
-
-double fingerprint_distance(std::string_view a, std::string_view b) noexcept {
-  // Fingerprints are `k=v;k=v;...` (fingerprint.hpp). Distance is the
-  // sum over shared fields of the doublings separating the two values -
-  // cache sizes and core counts compare in log space, triad_log2 is
-  // already a log. A field present on one side only (or an unparseable
-  // value) costs a flat penalty, so malformed strings rank far away
-  // instead of aliasing an exact match.
-  constexpr double kMissing = 8.0;
-  auto fields = [](std::string_view s) {
-    std::vector<std::pair<std::string_view, double>> out;
-    while (!s.empty()) {
-      const auto semi = s.find(';');
-      const std::string_view tok = s.substr(0, semi);
-      s = semi == std::string_view::npos ? std::string_view{}
-                                        : s.substr(semi + 1);
-      const auto eq = tok.find('=');
-      if (eq == std::string_view::npos) continue;
-      double v = 0;
-      bool ok = !tok.substr(eq + 1).empty();
-      for (const char c : tok.substr(eq + 1)) {
-        if (c < '0' || c > '9') { ok = false; break; }
-        v = v * 10 + (c - '0');
-      }
-      if (ok) out.emplace_back(tok.substr(0, eq), v);
-    }
-    return out;
-  };
-  const auto fa = fields(a);
-  const auto fb = fields(b);
-  if (fa.empty() || fb.empty()) return fa.size() == fb.size() ? 0.0 : 1e9;
-  double d = 0;
-  std::size_t matched = 0;
-  for (const auto& [k, va] : fa) {
-    const auto it = std::find_if(fb.begin(), fb.end(),
-                                 [&](const auto& p) { return p.first == k; });
-    if (it == fb.end()) {
-      d += kMissing;
-      continue;
-    }
-    ++matched;
-    const double vb = it->second;
-    if (k == "triad_log2") {
-      d += std::abs(va - vb);
-    } else {
-      d += std::abs(std::log2(std::max(1.0, va)) -
-                    std::log2(std::max(1.0, vb)));
-    }
-  }
-  if (fb.size() > matched)
-    d += kMissing * static_cast<double>(fb.size() - matched);
-  return d;
-}
 
 TunedLaunchParams::TunedLaunchParams(const Site& site,
                                      std::optional<Schedule> schedule,
@@ -885,7 +620,7 @@ TunedLaunchParams::TunedLaunchParams(const Site& site,
           ft_set_ = true;
         }
         owns_scope_ = true;
-        t_scope = {decision_.phase, &decision_.config, decision_.seeded_from};
+        t_scope = {decision_.phase, &decision_.config};
         uncaught_ = std::uncaught_exceptions();
         t0_ = std::chrono::steady_clock::now();
       }

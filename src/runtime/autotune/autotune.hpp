@@ -65,11 +65,6 @@ class Autotuner {
     Config config;
     std::uint32_t key_id = 0;
     std::uint32_t candidate = 0;
-    /// Transfer provenance: the key (and, for a cross-machine donor,
-    /// `@fingerprint`) of the already-tuned site that seeded this
-    /// site's search pool; nullptr for an unseeded (full) search.
-    /// Points at tuner-owned storage stable until reset().
-    const char* seeded_from = nullptr;
   };
 
   /// Pick the configuration that should serve the next launch of
@@ -93,18 +88,6 @@ class Autotuner {
   /// Seed the candidate-ordering priors (hwmodel/tuning_priors.cpp).
   /// Affects kernels first seen after the call.
   void set_priors(const Priors& p);
-
-  /// Cross-site transfer learning (SYCLPORT_TUNE_TRANSFER, default on):
-  /// a cold site seeds its successive-halving pool from the nearest
-  /// already-tuned site - same axis set, closest footprint class,
-  /// closest platform by fingerprint distance - instead of racing the
-  /// full cross product. Force mode always runs the full search.
-  void set_transfer(bool on) noexcept { transfer_ = on; }
-  [[nodiscard]] bool transfer() const noexcept { return transfer_; }
-
-  /// Which site seeded `site`'s search ("" when it ran a full search or
-  /// was served from the cache) - the provenance launch_log records.
-  [[nodiscard]] std::string seeded_from(const Site& site) const;
 
   /// Persist every decided kernel now. Called automatically whenever a
   /// race finishes; exposed for tests.
@@ -138,33 +121,21 @@ class Autotuner {
     bool from_cache = false;
     Config best;
     double best_s = 1e30;
-    /// Transfer provenance: donor key (+ `@fp` for a foreign machine)
-    /// whose winner seeded this site's pool; empty for a full search.
-    std::string seeded_from;
   };
 
   void ensure_loaded_locked();
   void advance_round_locked(KeyState& st);
   bool save_locked() const;
-  /// Nearest already-tuned donor for a cold `site` (nullopt when
-  /// transfer is off or nothing compatible is tuned yet).
-  struct Donor {
-    Config config;
-    std::string provenance;
-  };
-  [[nodiscard]] std::optional<Donor> find_donor_locked(
-      const std::string& key) const;
 
   mutable std::mutex mu_;
   Mode mode_ = Mode::Off;
   std::string fingerprint_;  ///< empty = measure lazily
   std::string cache_path_;
   bool loaded_ = false;
-  bool transfer_ = true;
   Priors priors_;
   std::vector<std::unique_ptr<KeyState>> states_;
   std::unordered_map<std::string, std::uint32_t> index_;
-  std::vector<CacheData::Entry> cached_;  ///< from the file
+  std::vector<CacheData::Entry> cached_;  ///< from the file, every fp
   std::uint64_t explored_ = 0;
 };
 
@@ -188,16 +159,6 @@ class ScopedTune {
 /// record which configuration served each launch.
 [[nodiscard]] Phase current_phase() noexcept;
 [[nodiscard]] const Config* current_config() noexcept;
-/// Transfer-seed provenance of the innermost tuning scope (nullptr when
-/// the site's search was not seeded, or outside any scope).
-[[nodiscard]] const char* current_seed() noexcept;
-
-/// Field-wise log-space distance between two device fingerprints
-/// (fingerprint.hpp format): 0 for identical machines, growing with
-/// every doubling of cores / cache sizes / triad bandwidth that
-/// separates the two. Unparseable fingerprints compare maximally far.
-[[nodiscard]] double fingerprint_distance(std::string_view a,
-                                          std::string_view b) noexcept;
 
 /// The tuned replacement for rt::ScopedLaunchParams on every hot path.
 ///

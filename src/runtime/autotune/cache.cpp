@@ -15,8 +15,8 @@ namespace syclport::rt::autotune {
 namespace {
 
 /// Current on-disk format version. v2 added the content checksum; v3
-/// added the per-entry `fp` field (transfer-learning donor provenance)
-/// and new Config axes; v4 added the layout/indirect axes (op2
+/// added the per-entry `fp` field (the machine a winner was measured
+/// on) and new Config axes; v4 added the layout/indirect axes (op2
 /// unstructured tuning), so older files - and anything newer/foreign -
 /// are rejected wholesale, which the caller treats as a cold cache:
 /// retuning is always safe, trusting a stale or damaged winner is not.

@@ -18,9 +18,9 @@ struct CacheData {
   std::string fingerprint;  ///< machine that wrote the file
   /// One tuned kernel. `fp` is the fingerprint the winner was measured
   /// on - normally the file's own, but v3 files keep entries from other
-  /// machines too (a shared cache on a heterogeneous cluster), and the
-  /// transfer-learning seeder uses `fp` to rank donors by platform
-  /// distance. Empty fp means "same as the file fingerprint".
+  /// machines too (a shared cache on a heterogeneous cluster); only
+  /// entries whose fp matches this machine are served. Empty fp means
+  /// "same as the file fingerprint".
   struct Entry {
     std::string key;
     Config config;

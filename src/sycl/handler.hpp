@@ -38,7 +38,6 @@
 #include "core/reducer.hpp"
 #include "core/timing.hpp"
 #include "runtime/autotune/autotune.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/mem/stream.hpp"
 #include "runtime/thread_pool.hpp"
@@ -99,56 +98,24 @@ inline void log_launch(const char* name, int dims,
   // tuning scope on this thread), and whether it was a search candidate
   // or the locked-in winner.
   rec.tune_phase = syclport::rt::autotune::current_phase();
-  if (const auto* cfg = syclport::rt::autotune::current_config()) {
+  if (const auto* cfg = syclport::rt::autotune::current_config())
     rec.tune_config = cfg->to_string();
-    if (cfg->reg_tile || cfg->cache_block) {
-      const syclport::rt::autotune::VariantParams vp{
-          cfg->reg_tile.value_or(1), cfg->vec_width.value_or(1),
-          cfg->unroll.value_or(1)};
-      rec.tune_variant =
-          syclport::rt::autotune::variant_id(vp, cfg->cache_block.value_or(0));
-    }
-  }
-  if (const char* seed = syclport::rt::autotune::current_seed())
-    rec.tune_seed = seed;
   lg.append(std::move(rec));
 }
 
-/// Handler-level tuning site for one exec_* body: schedule x grain,
-/// plus the kernel-variant menu on the flat (non-barrier) lowerings and
-/// the cache-block axis where the traversal may be reordered (`extra`).
-/// The shape of an nd_range launch is the caller's contract, so nd
-/// sites never add variant axes here. No-ops when an outer DSL scope
-/// (ops/op2 par_loop, LoopChain) already owns tuning for this launch.
+/// Handler-level tuning site for one exec_* body: schedule x grain.
+/// The shape of an nd_range launch is the caller's contract. No-ops
+/// when an outer DSL scope (ops/op2 par_loop, LoopChain) already owns
+/// tuning for this launch.
 [[nodiscard]] inline syclport::rt::autotune::Site exec_site(
-    const char* name, int dims, std::array<std::size_t, 3> global, bool nd,
-    unsigned extra = 0) {
+    const char* name, int dims, std::array<std::size_t, 3> global, bool nd) {
   syclport::rt::autotune::Site s;
   s.name = name;
   s.dims = dims;
   s.global = global;
   s.nd = nd;
-  s.axes = syclport::rt::autotune::kScheduleGrain | extra;
+  s.axes = syclport::rt::autotune::kScheduleGrain;
   return s;
-}
-
-/// Variant/cache-block decision of the innermost tuning scope on this
-/// thread - the handler's own scope when it owns tuning, or the DSL
-/// scope (ops/op2 par_loop) whose decision covers this launch when it
-/// does. Defaults to the reference shape outside any scope.
-struct ActiveVariant {
-  syclport::rt::autotune::VariantParams vp;
-  std::size_t cache_block = 0;
-};
-[[nodiscard]] inline ActiveVariant active_variant() {
-  ActiveVariant out;
-  if (const auto* cfg = syclport::rt::autotune::current_config()) {
-    out.vp.reg_tile = cfg->reg_tile.value_or(1);
-    out.vp.vec_width = cfg->vec_width.value_or(1);
-    out.vp.unroll = cfg->unroll.value_or(1);
-    out.cache_block = cfg->cache_block.value_or(0);
-  }
-  return out;
 }
 
 // --- kernel execution bodies, shared by both handler modes -----------------
@@ -165,30 +132,16 @@ void exec_flat(const device&, const char* name, const range<Dims>& r,
   std::optional<syclport::rt::ScopedLaunchParams> pin;
   if (streaming)
     pin.emplace(syclport::rt::Schedule::Static, std::nullopt);
-  // Flat launches are independent-point by construction here (a
-  // reduction takes exec_flat_reduce), so this lowering also races the
-  // kernel-variant menu, and on multi-dimensional ranges the
-  // cache-blocked traversal.
-  syclport::rt::autotune::TunedLaunchParams tuned(exec_site(
-      name, Dims, to3(r), false,
-      syclport::rt::autotune::kVariantAxes |
-          (Dims >= 2 ? syclport::rt::autotune::kCacheBlock : 0u)));
+  syclport::rt::autotune::TunedLaunchParams tuned(
+      exec_site(name, Dims, to3(r), false));
   syclport::WallTimer t;
-  const std::size_t total = r.size();
-  const auto av = active_variant();
-  const std::size_t fast = r[Dims - 1];
-  auto body = [&](std::size_t lin) { invoke_flat(k, delinearize(lin, r), r); };
-  if (Dims >= 2 && av.cache_block > 0 && av.cache_block < fast && fast > 0) {
-    syclport::rt::autotune::blocked_parallel_for(total / fast, fast,
-                                                 av.cache_block, av.vp, body);
-  } else {
-    // Templated fast path: the lambda is dispatched inline by the pool,
-    // no std::function is constructed per launch or per chunk.
-    syclport::rt::ThreadPool::global().parallel_for(
-        total, [&](std::size_t b, std::size_t e) {
-          syclport::rt::autotune::run_span_variant(av.vp, b, e, body);
-        });
-  }
+  // Templated fast path: the lambda is dispatched inline by the pool,
+  // no std::function is constructed per launch or per chunk.
+  syclport::rt::ThreadPool::global().parallel_for(
+      r.size(), [&](std::size_t b, std::size_t e) {
+        for (std::size_t lin = b; lin < e; ++lin)
+          invoke_flat(k, delinearize(lin, r), r);
+      });
   log_launch(name, Dims, to3(r), std::nullopt, false, false, t.seconds(),
              syclport::rt::ThreadPool::last_stats(), streaming);
 }
@@ -196,13 +149,8 @@ void exec_flat(const device&, const char* name, const range<Dims>& r,
 template <int Dims, typename T, typename Op, typename K>
 void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
                       const reduction_descriptor<T, Op>& red, const K& k) {
-  // Reductions race the variant menu too - every variant visits its
-  // span in strictly ascending order (variant.hpp contract), so the
-  // per-block accumulation order is identical to the reference loop.
-  // The cache-block axis, which does reorder, is NOT declared here.
   syclport::rt::autotune::TunedLaunchParams tuned(
-      exec_site(name, Dims, to3(r), false,
-                syclport::rt::autotune::kVariantAxes));
+      exec_site(name, Dims, to3(r), false));
   syclport::WallTimer t;
   // Fixed kReduceChunk blocks of the linear range; each parallel chunk
   // runs the blocks that start inside it, one private reducer per block.
@@ -210,22 +158,20 @@ void exec_flat_reduce(const device&, const char* name, const range<Dims>& r,
       syclport::BlockPartition::uniform(r.size(), syclport::kReduceChunk);
   const syclport::BlockPartials<T, Op> partials(red.op, red.identity,
                                                 part.count());
-  const auto av = active_variant();
   syclport::rt::ThreadPool::global().parallel_for(
       r.size(), [&](std::size_t b, std::size_t e) {
         part.for_each_starting_in(b, e, [&](std::size_t blk, std::size_t kb,
                                             std::size_t ke) {
           reducer<T, Op> acc(red.identity, red.op);
-          syclport::rt::autotune::run_span_variant(
-              av.vp, kb, ke, [&](std::size_t lin) {
-                const id<Dims> i = delinearize(lin, r);
-                if constexpr (std::invocable<const K&, item<Dims>,
-                                             reducer<T, Op>&>) {
-                  k(item<Dims>(i, r), acc);
-                } else {
-                  k(i, acc);
-                }
-              });
+          for (std::size_t lin = kb; lin < ke; ++lin) {
+            const id<Dims> i = delinearize(lin, r);
+            if constexpr (std::invocable<const K&, item<Dims>,
+                                         reducer<T, Op>&>) {
+              k(item<Dims>(i, r), acc);
+            } else {
+              k(i, acc);
+            }
+          }
           *partials.slot(blk) = acc.value();
         });
       });

@@ -18,7 +18,6 @@
 #include "ops/ops.hpp"
 #include "runtime/autotune/autotune.hpp"
 #include "runtime/autotune/cache.hpp"
-#include "runtime/autotune/variant.hpp"
 #include "runtime/env.hpp"
 #include "sycl/sycl.hpp"
 
@@ -35,14 +34,6 @@ at::Site sched_site(const char* name = "k") {
   s.dims = 1;
   s.global = {1u << 16, 1, 1};
   s.axes = at::kScheduleGrain;
-  return s;
-}
-
-/// A site that also races the kernel-variant menu, like the flat-sweep
-/// lowerings declare it.
-at::Site variant_site(const char* name = "vk") {
-  at::Site s = sched_site(name);
-  s.axes = at::kScheduleGrain | at::kVariantAxes;
   return s;
 }
 
@@ -93,17 +84,6 @@ TEST(Autotune, ConfigToStringParseRoundTrip) {
   ASSERT_TRUE(sback.has_value());
   EXPECT_EQ(*sback, sparse);
 
-  // The kernel-variant and cache-block axes (cache v3) round-trip too.
-  at::Config v;
-  v.schedule = rt::Schedule::Static;
-  v.reg_tile = 2;
-  v.vec_width = 4;
-  v.unroll = 2;
-  v.cache_block = 512;
-  const auto vback = at::Config::parse(v.to_string());
-  ASSERT_TRUE(vback.has_value());
-  EXPECT_EQ(*vback, v);
-
   // The unstructured-locality axes (cache v4) round-trip too.
   at::Config u;
   u.layout = 1;    // SoA
@@ -117,10 +97,6 @@ TEST(Autotune, ConfigToStringParseRoundTrip) {
   EXPECT_FALSE(at::Config::parse("grain=12abc").has_value());
   EXPECT_FALSE(at::Config::parse("local=8x8").has_value());
   EXPECT_FALSE(at::Config::parse("bogus=1").has_value());
-  EXPECT_FALSE(at::Config::parse("reg_tile=0").has_value());
-  EXPECT_FALSE(at::Config::parse("vec=x").has_value());
-  EXPECT_FALSE(at::Config::parse("unroll=").has_value());
-  EXPECT_FALSE(at::Config::parse("cache_block=12ab").has_value());
   EXPECT_FALSE(at::Config::parse("layout=csr").has_value());
   EXPECT_FALSE(at::Config::parse("indirect=mutex").has_value());
 }
@@ -144,13 +120,13 @@ TEST(Autotune, SiteKeyIsStableAndSanitized) {
   EXPECT_NE(s.key(), big.key());
 
   // The declared axis set is part of the key: two same-named
-  // same-shaped sites whose lowerings race different knobs (a flat
-  // sweep with kernel variants vs a plain schedule-only site) must
-  // never collide in the cache.
-  at::Site variants = s;
-  variants.axes = at::kScheduleGrain | at::kVariantAxes;
-  EXPECT_NE(s.key(), variants.key());
-  EXPECT_NE(variants.key().find("|ax"), std::string::npos);
+  // same-shaped sites whose lowerings race different knobs (a tiled
+  // chain vs a plain schedule-only site) must never collide in the
+  // cache.
+  at::Site tiled = s;
+  tiled.axes = at::kScheduleGrain | at::kTile;
+  EXPECT_NE(s.key(), tiled.key());
+  EXPECT_NE(tiled.key().find("|ax"), std::string::npos);
 }
 
 TEST(Autotune, CacheRoundTripAndMalformedEntries) {
@@ -174,7 +150,7 @@ TEST(Autotune, CacheRoundTripAndMalformedEntries) {
   EXPECT_EQ(back->entries[0].key, data.entries[0].key);
   EXPECT_EQ(back->entries[0].config, a);
   EXPECT_EQ(back->entries[1].config, b);
-  // The per-entry fingerprint (v3: transfer-donor provenance) survives.
+  // The per-entry fingerprint (v3: the machine a winner ran on) survives.
   EXPECT_EQ(back->entries[1].fp, "cores=64;llc=1");
 
   // Unparseable configs are dropped individually, not fatally.
@@ -189,6 +165,39 @@ TEST(Autotune, CacheRoundTripAndMalformedEntries) {
   const auto again = at::read_cache(path);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->entries.size(), 2u);
+
+  // A current-version entry carrying the retired kernel-variant and
+  // cache-block tokens no longer parses: it is dropped like any other
+  // malformed config, and its site retunes without a version bump.
+  const at::Site stale_site = sched_site("stale");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    const std::string line =
+        "    { \"key\": \"" + stale_site.key() +
+        "\", \"config\": \"schedule=static grain=1024 reg_tile=2 vec=4 "
+        "unroll=2 cache_block=128\", \"fp\": \"\" },\n";
+    std::fputs(line.c_str(), f);
+    std::fclose(f);
+  }
+  const auto stale = at::read_cache(path);
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_EQ(stale->entries.size(), 2u);
+  {
+    at::Autotuner tuner(at::Autotuner::Mode::On, data.fingerprint, path);
+    EXPECT_EQ(tuner.decide(stale_site).phase, at::Phase::Exploring);
+    drive(tuner, stale_site);
+    EXPECT_TRUE(tuner.converged(stale_site));
+  }
+  {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("\"syclport_tune_cache\": 4"),
+              std::string::npos);
+    EXPECT_EQ(text.str().find("reg_tile"), std::string::npos)
+        << "the rewrite must not carry the stale entry forward";
+  }
 
   EXPECT_FALSE(at::read_cache("does_not_exist.json").has_value());
   std::remove(path.c_str());
@@ -396,7 +405,7 @@ TEST(Autotune, CacheRejectsForeignVersionTamperAndTruncation) {
   };
   const std::string pristine = slurp();
 
-  // A v2 file (pre-variant axes, no per-entry fp) is a foreign format:
+  // A v2 file (no per-entry fp) is a foreign format:
   // the caller silently retunes instead of trusting it. Same for v1.
   std::string v2 = pristine;
   const auto vpos = v2.find("\"syclport_tune_cache\": 4");
@@ -428,113 +437,8 @@ TEST(Autotune, CacheRejectsForeignVersionTamperAndTruncation) {
   std::remove(path.c_str());
 }
 
-TEST(Autotune, TransferSeedsFromNearestPlatformDonor) {
-  const std::string path = "test_autotune_cache_transfer.json";
-  std::remove(path.c_str());
-  const std::string fp_me =
-      "cores=8;l1d=32768;l2=1048576;llc=16777216;triad_log2=4";
-  const std::string fp_near =
-      "cores=16;l1d=32768;l2=1048576;llc=16777216;triad_log2=4";
-  const std::string fp_far =
-      "cores=256;l1d=131072;l2=4194304;llc=1073741824;triad_log2=10";
-
-  // One shared cache holding the same kernel tuned on two machines:
-  // one a core-count doubling away, one a different platform class.
-  at::Site donor_site = variant_site("donor");
-  at::Config near_cfg;
-  near_cfg.schedule = rt::Schedule::Static;
-  near_cfg.grain = 1;
-  near_cfg.reg_tile = 2;
-  near_cfg.vec_width = 4;
-  near_cfg.unroll = 1;
-  at::Config far_cfg = near_cfg;
-  far_cfg.schedule = rt::Schedule::Dynamic;
-  far_cfg.reg_tile = 4;
-  at::CacheData data;
-  data.fingerprint = fp_far;
-  data.entries = {{donor_site.key(), far_cfg, fp_far},
-                  {donor_site.key(), near_cfg, fp_near}};
-  ASSERT_TRUE(at::write_cache(path, data));
-
-  at::Autotuner tuner(at::Autotuner::Mode::On, fp_me, path);
-  const at::Site recv = variant_site("recv");
-  const auto d = tuner.decide(recv);
-  EXPECT_EQ(d.phase, at::Phase::Exploring)
-      << "a foreign donor seeds the race, it is never served directly";
-  ASSERT_NE(d.seeded_from, nullptr);
-  const std::string prov = d.seeded_from;
-  EXPECT_NE(prov.find("donor"), std::string::npos) << prov;
-  EXPECT_NE(prov.find("@" + fp_near), std::string::npos)
-      << "nearest platform by fingerprint distance must win: " << prov;
-  EXPECT_EQ(prov.find("@" + fp_far), std::string::npos) << prov;
-  EXPECT_EQ(tuner.seeded_from(recv), prov);
-  std::remove(path.c_str());
-}
-
-TEST(Autotune, TransferWarmStartExploresFewerLaunchesThanCold) {
-  const std::string path = "test_autotune_cache_warmstart.json";
-  std::remove(path.c_str());
-  const at::Site site = variant_site("warmstart");
-  std::uint64_t cold_explored = 0;
-  {
-    at::Autotuner cold(at::Autotuner::Mode::On, "fp-machine-a", path);
-    drive(cold, site);
-    ASSERT_TRUE(cold.converged(site));
-    EXPECT_TRUE(cold.seeded_from(site).empty())
-        << "nothing tuned yet: the first site runs the full search";
-    cold_explored = cold.explored_launches();
-  }
-  // A different machine, same cache file: the cold winner is not
-  // trusted (fingerprint gate) but seeds the warm race.
-  at::Autotuner warm(at::Autotuner::Mode::On, "fp-machine-b", path);
-  drive(warm, site);
-  ASSERT_TRUE(warm.converged(site));
-  EXPECT_FALSE(warm.seeded_from(site).empty());
-  EXPECT_LT(warm.explored_launches() * 2, cold_explored)
-      << "warm-start-from-neighbor must converge in <50% of cold ("
-      << warm.explored_launches() << " vs " << cold_explored << ")";
-  std::remove(path.c_str());
-}
-
-TEST(Autotune, TransferAlsoSeedsAcrossSitesInProcess) {
-  // No cache file at all: a second kernel with the same axis set seeds
-  // from the first kernel's in-memory winner.
-  at::Autotuner tuner(at::Autotuner::Mode::On, "fp-local", "");
-  const at::Site first = variant_site("first_kernel");
-  drive(tuner, first);
-  ASSERT_TRUE(tuner.converged(first));
-  const std::uint64_t after_first = tuner.explored_launches();
-  const at::Site second = variant_site("second_kernel");
-  drive(tuner, second);
-  ASSERT_TRUE(tuner.converged(second));
-  EXPECT_FALSE(tuner.seeded_from(second).empty());
-  EXPECT_EQ(tuner.seeded_from(second).find('@'), std::string::npos)
-      << "an in-process donor is local: no @fingerprint suffix";
-  EXPECT_LT((tuner.explored_launches() - after_first) * 2, after_first);
-}
-
-TEST(Autotune, TransferOffRunsTheFullSearch) {
-  const std::string path = "test_autotune_cache_notransfer.json";
-  std::remove(path.c_str());
-  const at::Site site = variant_site("notransfer");
-  std::uint64_t cold_explored = 0;
-  {
-    at::Autotuner cold(at::Autotuner::Mode::On, "fp-machine-a", path);
-    drive(cold, site);
-    cold_explored = cold.explored_launches();
-  }
-  at::Autotuner warm(at::Autotuner::Mode::On, "fp-machine-b", path);
-  warm.set_transfer(false);  // SYCLPORT_TUNE_TRANSFER=off
-  drive(warm, site);
-  ASSERT_TRUE(warm.converged(site));
-  EXPECT_TRUE(warm.seeded_from(site).empty());
-  EXPECT_EQ(warm.explored_launches(), cold_explored)
-      << "with transfer off, a foreign cache must not shrink the race";
-  std::remove(path.c_str());
-}
-
 TEST(Autotune, V2CacheFileRetunesSilently) {
-  // A v2-era file (previous release: no per-entry fp, no variant axes)
+  // A v2-era file (no per-entry fp, none of the v3/v4 axes)
   // must be rejected wholesale and the tuner must simply re-explore -
   // no crash, no stale winner.
   const std::string path = "test_autotune_cache_v2.json";
@@ -561,26 +465,7 @@ TEST(Autotune, V2CacheFileRetunesSilently) {
   at::Autotuner retune(at::Autotuner::Mode::On, "fp-v2", path);
   const auto d = retune.decide(site);
   EXPECT_EQ(d.phase, at::Phase::Exploring);
-  EXPECT_EQ(d.seeded_from, nullptr)
-      << "a rejected file contributes no donors either";
   drive(retune, site);
   EXPECT_TRUE(retune.converged(site));
   std::remove(path.c_str());
-}
-
-TEST(Autotune, VariantCandidatesStayOnTheCompiledMenu) {
-  // Whatever the race hands out must be an executable menu entry within
-  // the register-capacity bound - never an arbitrary cross product.
-  at::Autotuner tuner(at::Autotuner::Mode::On, "fp-menu", "");
-  const at::Site site = variant_site("menu");
-  for (int i = 0; i < 2000 && !tuner.converged(site); ++i) {
-    const auto d = tuner.decide(site);
-    ASSERT_TRUE(d.config.reg_tile && d.config.vec_width && d.config.unroll);
-    const at::VariantParams vp{*d.config.reg_tile, *d.config.vec_width,
-                               *d.config.unroll};
-    EXPECT_GE(at::variant_menu_index(vp), 0) << at::variant_id(vp);
-    EXPECT_LE(vp.span(), 16) << "default CPU register bound";
-    tuner.report(d, synthetic_cost(d.config));
-  }
-  EXPECT_TRUE(tuner.converged(site));
 }

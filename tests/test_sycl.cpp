@@ -619,14 +619,23 @@ TEST(OutOfOrder, CommandRecordsCarryDagAndTimestamps) {
   sycl::queue q;
   std::vector<double> v(32, 0.0);
   double* p = v.data();
+  // The first command holds until the second is submitted, so it is
+  // still in flight when the scheduler looks for the second's edges;
+  // otherwise a fast worker can retire it first and no edge exists.
+  std::atomic<bool> second_submitted{false};
   q.submit([&](sycl::handler& h) {
     touch(h, p, sycl::access_mode::write);
-    h.single_task([p] { p[0] = 1.0; });
+    h.single_task([p, &second_submitted] {
+      while (!second_submitted.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      p[0] = 1.0;
+    });
   });
   q.submit([&](sycl::handler& h) {
     touch(h, p, sycl::access_mode::read_write);
     h.single_task([p] { p[0] += 1.0; });
   });
+  second_submitted.store(true, std::memory_order_release);
   q.wait();
   log.set_enabled(false);
   const auto cmds = log.commands_snapshot();

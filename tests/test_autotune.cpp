@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -468,4 +469,169 @@ TEST(Autotune, V2CacheFileRetunesSilently) {
   drive(retune, site);
   EXPECT_TRUE(retune.converged(site));
   std::remove(path.c_str());
+}
+
+TEST(Autotune, ForeignCacheRunsTheFullSearch) {
+  // A cache tuned on another machine is never a shortcut: the race on
+  // this machine explores exactly as many launches as a cold start and
+  // lands on the same winner.
+  const std::string path = "test_autotune_cache_foreign_full.json";
+  std::remove(path.c_str());
+  const at::Site site = sched_site("foreign_full");
+  std::uint64_t cold_explored = 0;
+  {
+    at::Autotuner cold(at::Autotuner::Mode::On, "fp-machine-a", path);
+    drive(cold, site);
+    ASSERT_TRUE(cold.converged(site));
+    cold_explored = cold.explored_launches();
+  }
+  at::Autotuner other(at::Autotuner::Mode::On, "fp-machine-b", path);
+  drive(other, site);
+  ASSERT_TRUE(other.converged(site));
+  EXPECT_EQ(other.explored_launches(), cold_explored)
+      << "a foreign cache must not shrink the race";
+  const auto best = other.best(site);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->schedule, rt::Schedule::Static);
+  EXPECT_EQ(best->grain, 1024u);
+  std::remove(path.c_str());
+}
+
+TEST(Autotune, ForeignEntriesAreKeptButNeverServed) {
+  const std::string path = "test_autotune_cache_foreign_kept.json";
+  std::remove(path.c_str());
+  const std::string fp_me = "cores=8;llc=16777216";
+  const std::string fp_near = "cores=16;llc=16777216";
+  const std::string fp_far = "cores=256;llc=1073741824";
+
+  // The same kernel already tuned on two other machines, with winners
+  // the synthetic cost ranks last.
+  const at::Site site = sched_site("shared");
+  at::Config near_cfg;
+  near_cfg.schedule = rt::Schedule::Steal;
+  near_cfg.grain = 16384;
+  at::Config far_cfg = near_cfg;
+  far_cfg.schedule = rt::Schedule::Dynamic;
+  at::CacheData data;
+  data.fingerprint = fp_far;
+  data.entries = {{site.key(), far_cfg, fp_far},
+                  {site.key(), near_cfg, fp_near}};
+  ASSERT_TRUE(at::write_cache(path, data));
+
+  {
+    at::Autotuner tuner(at::Autotuner::Mode::On, fp_me, path);
+    EXPECT_EQ(tuner.decide(site).phase, at::Phase::Exploring)
+        << "another machine's winner is never served";
+    drive(tuner, site);
+    ASSERT_TRUE(tuner.converged(site));
+    const auto best = tuner.best(site);
+    ASSERT_TRUE(best.has_value());
+    EXPECT_EQ(best->schedule, rt::Schedule::Static);
+    EXPECT_EQ(best->grain, 1024u);
+  }
+
+  // The rewrite adds this machine's winner and keeps both foreign
+  // entries untouched.
+  const auto back = at::read_cache(path);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->entries.size(), 3u);
+  int near_seen = 0, far_seen = 0, mine_seen = 0;
+  for (const auto& e : back->entries) {
+    EXPECT_EQ(e.key, site.key());
+    if (e.fp == fp_near) {
+      ++near_seen;
+      EXPECT_EQ(e.config, near_cfg);
+    } else if (e.fp == fp_far) {
+      ++far_seen;
+      EXPECT_EQ(e.config, far_cfg);
+    } else if (e.fp == fp_me) {
+      ++mine_seen;
+      EXPECT_EQ(e.config.schedule, rt::Schedule::Static);
+      EXPECT_EQ(e.config.grain, 1024u);
+    }
+  }
+  EXPECT_EQ(near_seen, 1);
+  EXPECT_EQ(far_seen, 1);
+  EXPECT_EQ(mine_seen, 1);
+  std::remove(path.c_str());
+}
+
+TEST(Autotune, EachSiteRunsItsOwnSearchInProcess) {
+  // Winners do not leak between sites: a second kernel with the same
+  // axis set races its full candidate set, and a later decision for the
+  // first kernel still serves the first kernel's own winner.
+  at::Autotuner tuner(at::Autotuner::Mode::On, "fp-local", "");
+  const at::Site first = sched_site("first_kernel");
+  drive(tuner, first);
+  ASSERT_TRUE(tuner.converged(first));
+  const std::uint64_t after_first = tuner.explored_launches();
+  ASSERT_GT(after_first, 0u);
+
+  const at::Site second = sched_site("second_kernel");
+  EXPECT_FALSE(tuner.converged(second));
+  // Invert the cost for the second kernel so its winner differs.
+  for (int i = 0; i < 10000 && !tuner.converged(second); ++i) {
+    const auto d = tuner.decide(second);
+    EXPECT_EQ(d.phase, at::Phase::Exploring);
+    tuner.report(d, 1.0 / synthetic_cost(d.config));
+  }
+  ASSERT_TRUE(tuner.converged(second));
+  EXPECT_EQ(tuner.explored_launches() - after_first, after_first)
+      << "the second site must run the same full race as the first";
+  const auto b1 = tuner.best(first);
+  const auto b2 = tuner.best(second);
+  ASSERT_TRUE(b1.has_value());
+  ASSERT_TRUE(b2.has_value());
+  EXPECT_NE(*b1, *b2);
+  const auto d1 = tuner.decide(first);
+  EXPECT_EQ(d1.phase, at::Phase::Exploiting);
+  EXPECT_EQ(d1.config, *b1);
+}
+
+TEST(Autotune, CandidatesStayOnTheDeclaredAxes) {
+  // Whatever the race hands a schedule x grain site must set exactly
+  // those two axes, with a grain from the prior seeds that fits the
+  // launch - never a knob the lowering does not consume.
+  at::Autotuner tuner(at::Autotuner::Mode::On, "fp-axes", "");
+  at::Site site = sched_site("axes");
+  site.global = {4096, 1, 1};
+  const at::Priors priors;
+  int served = 0;
+  for (int i = 0; i < 2000 && !tuner.converged(site); ++i) {
+    const auto d = tuner.decide(site);
+    ++served;
+    ASSERT_TRUE(d.config.schedule.has_value());
+    ASSERT_TRUE(d.config.grain.has_value());
+    const std::size_t g = *d.config.grain;
+    const bool seeded =
+        g == 1 || std::find(priors.grains.begin(), priors.grains.end(), g) !=
+                      priors.grains.end();
+    EXPECT_TRUE(seeded) << "grain " << g;
+    EXPECT_LE(g * 2, site.total()) << "grain " << g << " cannot split";
+    EXPECT_FALSE(d.config.local.has_value());
+    EXPECT_FALSE(d.config.overlap_queue.has_value());
+    EXPECT_FALSE(d.config.tile.has_value());
+    EXPECT_FALSE(d.config.first_touch.has_value());
+    EXPECT_FALSE(d.config.fuse.has_value());
+    EXPECT_FALSE(d.config.layout.has_value());
+    EXPECT_FALSE(d.config.indirect.has_value());
+    const auto back = at::Config::parse(d.config.to_string());
+    ASSERT_TRUE(back.has_value()) << d.config.to_string();
+    EXPECT_EQ(*back, d.config);
+    tuner.report(d, synthetic_cost(d.config));
+  }
+  EXPECT_TRUE(tuner.converged(site));
+  EXPECT_GT(served, 0);
+}
+
+TEST(Autotune, RetiredVariantTokensNoLongerParse) {
+  // The kernel-variant and cache-block axes are gone: their tokens are
+  // as unknown as any other, alone or next to valid ones.
+  for (const char* s :
+       {"reg_tile=2", "vec=4", "unroll=2", "cache_block=128",
+        "schedule=static grain=1024 reg_tile=2",
+        "schedule=static grain=1024 cache_block=512"})
+    EXPECT_FALSE(at::Config::parse(s).has_value()) << s;
+  // The surviving prefix still parses.
+  EXPECT_TRUE(at::Config::parse("schedule=static grain=1024").has_value());
 }

@@ -29,9 +29,12 @@ template <typename T>
 struct RedFn {
   RedOp op;
 
+  // Sum is the common operator: laid out as the fall-through, a row
+  // sweep's accumulate loop stays branch-light (-O2 does not unswitch
+  // the runtime op out of the loop).
   [[nodiscard]] constexpr T operator()(T a, T b) const {
     switch (op) {
-      case RedOp::Sum: return a + b;
+      case RedOp::Sum: [[likely]] return a + b;
       case RedOp::Min: return b < a ? b : a;
       case RedOp::Max: return a < b ? b : a;
     }

@@ -73,6 +73,10 @@ class ACC {
     return p_[c + dx * sx_ + dy * sy_ + dz * sz_];
   }
 
+  /// Move to the next point along the fastest dimension (the host
+  /// backends' row sweep in par_loop).
+  void advance() { p_ += sx_; }
+
  private:
   T* p_;
   std::ptrdiff_t sx_, sy_, sz_;

@@ -45,6 +45,7 @@
 #include "hwmodel/tuning_priors.hpp"
 #include "ops/dataflow.hpp"
 #include "ops/par_loop.hpp"
+#include "runtime/mem/array.hpp"
 #include "sycl/launch_log.hpp"
 
 namespace syclport::ops {
@@ -268,12 +269,15 @@ class LoopChain {
       q.node.rw_max_radius =
           std::max(q.node.rw_max_radius, a.st.max_radius());
       Dat<T>* d = a.dat;
-      auto shadow = std::make_shared<std::vector<T>>();
+      // Pooled, untouched storage: a row is restored only after it was
+      // saved, so no shadow element is read before it is written.
+      auto shadow = std::make_shared<rt::mem::Array<T>>();
       q.rw.push_back([d, shadow](long lo, long hi, bool save) -> double {
         if (!d->allocated() || lo >= hi) return 0.0;
         const auto ss = static_cast<std::size_t>(d->stride_slow());
         const std::size_t total = d->alloc_bytes() / sizeof(T);
-        if (shadow->empty()) shadow->resize(total);
+        if (shadow->empty())
+          *shadow = rt::mem::Array<T>(total, rt::mem::uninit);
         const long nslab = static_cast<long>(total / ss);
         const long halo = d->halo();
         double copied = 0.0;

@@ -137,6 +137,50 @@ RedBinder<T> make_binder(const RedArg<T>& a, const RedBlocks& rb) {
                       BlockPartials<T>(a.op, rb.part.count())};
 }
 
+/// Per-run views of the arguments in the host row sweep. A dat's view
+/// is its accessor, stepped by the fast stride per point. A reduction's
+/// view accumulates into a local copy of its block's slot - a run never
+/// leaves one block - so the running value can live in a register; the
+/// slot is written back once, after the run.
+template <typename T>
+struct DatRun {
+  ACC<T> acc;
+  [[nodiscard]] const ACC<T>& get() const { return acc; }
+  void advance() { acc.advance(); }
+  void finish() const {}
+};
+
+template <typename T>
+struct RedRun {
+  T* slot;
+  T value;
+  RedOp op;
+  [[nodiscard]] Reducer<T> get() { return Reducer<T>(&value, op); }
+  void advance() const {}
+  void finish() const { *slot = value; }
+};
+
+template <typename T>
+DatRun<T> run_view(const DatBinder<T>& b, long i0, long i1, long i2) {
+  return {b.make(i0, i1, i2)};
+}
+
+template <typename T>
+RedRun<T> run_view(const RedBinder<T>& b, long i0, long i1, long) {
+  T* slot = b.partials.slot(b.blocks->block_of(i0, i1));
+  return {slot, *slot, b.op};
+}
+
+/// Run the kernel at `n` consecutive points along the fastest dimension.
+template <typename K, typename... V>
+void sweep_run(K& kernel, std::size_t n, V... v) {
+  for (std::size_t k = 0; k < n; ++k) {
+    kernel(v.get()...);
+    (v.advance(), ...);
+  }
+  (v.finish(), ...);
+}
+
 template <typename B>
 void finish_binder(const B&) {}
 template <typename T>
@@ -319,8 +363,7 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
   // Work-item body of the SYCL lowerings. A reduction loop runs whole
   // blocks - the item at a block's first element sweeps the block in
   // ascending order - so no slot is shared between threads and the
-  // result does not depend on how items are spread over the pool. The
-  // Serial backend's ascending sweep already fills every slot in order.
+  // result does not depend on how items are spread over the pool.
   auto item_body = [&](std::size_t lin) {
     if constexpr (has_red) {
       if (!blocks.part.is_start(lin)) return;
@@ -332,31 +375,55 @@ void par_loop(Context& ctx, Meta meta, Block& block, Range r, K&& kernel,
     }
   };
 
+  // Host lowering: units of a 2-D/3-D loop are its fast-dimension rows
+  // (exactly its reduction blocks), units of a 1-D loop its points. A
+  // chunk [b, e) of units runs in ascending order, each row as one run
+  // of stepped accessors; a 1-D reduction runs the blocks that start in
+  // the chunk. The Serial sweep is the single chunk [0, units).
+  auto run = [&](long i0, long i1, long i2, std::size_t n) {
+    std::apply(
+        [&](const auto&... b) {
+          detail::sweep_run(kernel, n, detail::run_view(b, i0, i1, i2)...);
+        },
+        binders);
+  };
+  const std::size_t row_len =
+      dims == 1 ? 1 : ext[static_cast<std::size_t>(dims - 1)];
+  const std::size_t units = total / row_len;
+  auto host_sweep = [&](std::size_t b, std::size_t e) {
+    if (dims == 1) {
+      if constexpr (has_red) {
+        blocks.part.for_each_starting_in(
+            b, e, [&](std::size_t, std::size_t kb, std::size_t ke) {
+              run(r.lo[0] + static_cast<long>(kb), 0, 0, ke - kb);
+            });
+      } else {
+        run(r.lo[0] + static_cast<long>(b), 0, 0, e - b);
+      }
+    } else if (dims == 2) {
+      for (std::size_t row = b; row < e; ++row)
+        run(r.lo[0] + static_cast<long>(row), r.lo[1], 0, row_len);
+    } else {
+      for (std::size_t row = b; row < e; ++row)
+        run(r.lo[0] + static_cast<long>(row / ext[1]),
+            r.lo[1] + static_cast<long>(row % ext[1]), r.lo[2], row_len);
+    }
+  };
+
   const bool in_place = (detail::in_place_stencil(args) || ...);
   switch (in_place ? Backend::Serial : ctx.opt.backend) {
     case Backend::Serial:
-      for (std::size_t lin = 0; lin < total; ++lin) invoke_linear(lin);
+      host_sweep(0, units);
       break;
     case Backend::Threads:
     case Backend::MPI:
-    case Backend::MPIThreads: {
+    case Backend::MPIThreads:
       // MPI backends are semantically identical sweeps on shared memory;
       // their decomposition cost is carried by the recorded halo profile.
-      rt::ThreadPool::global().parallel_for(
-          total, [&](std::size_t b, std::size_t e) {
-            if constexpr (has_red) {
-              // Each chunk runs the blocks that start inside it.
-              blocks.part.for_each_starting_in(
-                  b, e, [&](std::size_t, std::size_t kb, std::size_t ke) {
-                    for (std::size_t lin = kb; lin < ke; ++lin)
-                      invoke_linear(lin);
-                  });
-            } else {
-              for (std::size_t lin = b; lin < e; ++lin) invoke_linear(lin);
-            }
-          });
+      // The grain counts points, so a chunk holds ceil(grain / row_len)
+      // rows.
+      rt::ThreadPool::global().parallel_for(units, row_len, host_sweep);
       break;
-    }
     case Backend::SyclFlat: {
       if (dims == 1) {
         ctx.queue.parallel_for(meta.name, sycl::range<1>(ext[0]),

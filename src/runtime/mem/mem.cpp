@@ -29,11 +29,11 @@ constexpr std::size_t kPageBytes = 4096;
 constexpr std::size_t kMinClassBytes = 4096;   // smallest size class
 constexpr std::size_t kMaxClassBytes = std::size_t{1} << 30;  // largest pooled
 constexpr std::size_t kClassShift = 12;        // log2(kMinClassBytes)
-constexpr std::size_t kNumClasses = 30 - kClassShift + 1;  // 4 KiB .. 1 GiB
 /// Classes at or below this go through the per-thread cache; larger
 /// blocks always hit the global arena (they are rare and big enough
 /// that a mutex is noise).
 constexpr std::size_t kThreadCacheMaxBytes = 1u << 20;
+constexpr std::size_t kThreadCacheClasses = 20 - kClassShift + 1;  // 4K..1M
 constexpr std::size_t kThreadCacheSlots = 8;   // blocks kept per class
 
 struct Stats {
@@ -69,12 +69,13 @@ struct Meta {
   bool pool_eligible = true;
 };
 
-/// Global arena: per-class freelists plus the pointer->Meta registry.
+/// Global arena: free lists keyed by class size (a power of two up to
+/// 2 MiB, a 2 MiB multiple above) plus the pointer->Meta registry.
 /// Leaked on purpose - thread-cache flush destructors and late frees
 /// in static teardown must always find it alive.
 struct Arena {
   std::mutex mu;
-  std::array<std::vector<void*>, kNumClasses> free_lists;
+  std::unordered_map<std::size_t, std::vector<void*>> free_lists;
   std::unordered_map<void*, Meta> registry;
 };
 
@@ -112,13 +113,9 @@ Config& g_config() {
 
 thread_local std::optional<bool> t_first_touch_override;
 
-/// Class index for a poolable rounded size, or nullopt when the block
-/// bypasses the pool entirely.
-std::optional<std::size_t> class_index(std::size_t rounded) noexcept {
-  if (rounded > kMaxClassBytes) return std::nullopt;
-  const auto idx = static_cast<std::size_t>(std::bit_width(rounded) - 1) -
-                   kClassShift;
-  return idx < kNumClasses ? std::optional<std::size_t>(idx) : std::nullopt;
+/// Does a block of this class size go back to the pool when freed?
+bool pooled_class(std::size_t rounded) noexcept {
+  return rounded <= kMaxClassBytes;
 }
 
 /// Per-thread free cache over the small classes. The destructor (thread
@@ -128,24 +125,36 @@ struct ThreadCache {
     std::array<void*, kThreadCacheSlots> blocks{};
     std::size_t count = 0;
   };
-  std::array<Slot, kNumClasses> slots;
+  std::array<Slot, kThreadCacheClasses> slots;
+
+  /// The slot of a class size, or null when the class is too large for
+  /// the thread cache.
+  Slot* slot(std::size_t rounded) noexcept {
+    if (rounded > kThreadCacheMaxBytes) return nullptr;
+    return &slots[static_cast<std::size_t>(std::bit_width(rounded) - 1) -
+                  kClassShift];
+  }
+
+  /// Move every cached block to the arena's lists (caller holds mu).
+  void flush_locked(Arena& arena) {
+    for (std::size_t c = 0; c < kThreadCacheClasses; ++c) {
+      auto& list = arena.free_lists[kMinClassBytes << c];
+      for (std::size_t i = 0; i < slots[c].count; ++i)
+        list.push_back(slots[c].blocks[i]);
+      slots[c].count = 0;
+    }
+  }
 
   ~ThreadCache() {
     Arena& arena = g_arena();
     std::lock_guard lock(arena.mu);
-    for (std::size_t c = 0; c < kNumClasses; ++c)
-      for (std::size_t i = 0; i < slots[c].count; ++i)
-        arena.free_lists[c].push_back(slots[c].blocks[i]);
+    flush_locked(arena);
   }
 };
 
 ThreadCache& t_cache() {
   thread_local ThreadCache cache;
   return cache;
-}
-
-bool class_thread_cached(std::size_t cls) noexcept {
-  return (kMinClassBytes << cls) <= kThreadCacheMaxBytes;
 }
 
 void os_release(void* p, const Meta& m) noexcept {
@@ -202,13 +211,14 @@ void set_config_for_testing(const Config& c) {
 
 std::size_t size_class_bytes(std::size_t bytes) noexcept {
   if (bytes <= kMinClassBytes) return kMinClassBytes;
-  if (bytes > kMaxClassBytes) {
-    // Beyond the largest class: not pooled; round to page (or huge-page)
-    // multiples so the OS mapping is exact.
-    const std::size_t unit = g_config().hugepages ? kHugePage : kPageBytes;
-    return (bytes + unit - 1) / unit * unit;
-  }
-  return std::bit_ceil(bytes);
+  if (bytes <= kHugePage) return std::bit_ceil(bytes);
+  // Above 2 MiB a power of two would waste up to half the block (and
+  // zero it under Init::Zero): pooled classes are 2 MiB multiples.
+  // Beyond the largest pooled class, round to page (or huge-page)
+  // multiples so the OS mapping is exact.
+  const std::size_t unit =
+      bytes <= kMaxClassBytes || g_config().hugepages ? kHugePage : kPageBytes;
+  return (bytes + unit - 1) / unit * unit;
 }
 
 std::optional<bool> first_touch_override() noexcept {
@@ -231,7 +241,6 @@ void* alloc(std::size_t bytes, Init init) {
   const std::size_t rounded = size_class_bytes(bytes);
   const bool huge = cfg.hugepages && rounded >= kHugePage;
   const std::size_t align = huge ? kHugePage : kMinAlign;
-  const auto cls = class_index(rounded);
 
   st.alloc_calls.fetch_add(1, std::memory_order_relaxed);
 
@@ -241,18 +250,16 @@ void* alloc(std::size_t bytes, Init init) {
       fault::armed() && fault::roll(fault::Site::MemArena).fire;
 
   void* p = nullptr;
-  if (cfg.pool && cls && !arena_pressure) {
-    if (class_thread_cached(*cls)) {
-      auto& slot = t_cache().slots[*cls];
-      if (slot.count > 0) p = slot.blocks[--slot.count];
-    }
+  if (cfg.pool && pooled_class(rounded) && !arena_pressure) {
+    if (auto* slot = t_cache().slot(rounded); slot && slot->count > 0)
+      p = slot->blocks[--slot->count];
     if (!p) {
       Arena& arena = g_arena();
       std::lock_guard lock(arena.mu);
-      auto& list = arena.free_lists[*cls];
-      if (!list.empty()) {
-        p = list.back();
-        list.pop_back();
+      if (auto it = arena.free_lists.find(rounded);
+          it != arena.free_lists.end() && !it->second.empty()) {
+        p = it->second.back();
+        it->second.pop_back();
       }
     }
   }
@@ -283,7 +290,7 @@ void* alloc(std::size_t bytes, Init init) {
       // Graceful degradation: the size-class allocation failed (real
       // upstream bad_alloc or an injected one), so serve the request
       // with a plain cache-line-aligned allocation of the raw size -
-      // often much smaller than the power-of-two class - that bypasses
+      // often much smaller than the size class - that bypasses
       // the pool for its whole lifetime. Only a genuine out-of-memory
       // on *this* exact-size attempt still throws.
       actual = (std::max<std::size_t>(bytes, 1) + kMinAlign - 1) /
@@ -352,22 +359,19 @@ void dealloc(void* p) noexcept {
   }
   st.bytes_outstanding.fetch_sub(m.bytes, std::memory_order_relaxed);
 
-  const auto cls = class_index(m.bytes);
   const bool pool_it =
-      m.pool_eligible && cfg.pool && cls &&
+      m.pool_eligible && cfg.pool && pooled_class(m.bytes) &&
       st.bytes_pooled.load(std::memory_order_relaxed) + m.bytes <=
           cfg.pool_max_bytes;
   if (pool_it) {
     st.bytes_pooled.fetch_add(m.bytes, std::memory_order_relaxed);
-    if (class_thread_cached(*cls)) {
-      auto& slot = t_cache().slots[*cls];
-      if (slot.count < kThreadCacheSlots) {
-        slot.blocks[slot.count++] = p;
-        return;
-      }
+    if (auto* slot = t_cache().slot(m.bytes);
+        slot && slot->count < kThreadCacheSlots) {
+      slot->blocks[slot->count++] = p;
+      return;
     }
     std::lock_guard lock(arena.mu);
-    arena.free_lists[*cls].push_back(p);
+    arena.free_lists[m.bytes].push_back(p);
     return;
   }
 
@@ -383,24 +387,19 @@ void trim() {
   Stats& st = g_stats();
   // Flush this thread's cache into the global lists first so it is
   // trimmed too (other threads' caches drain at their thread exit).
-  ThreadCache& cache = t_cache();
   std::vector<std::pair<void*, Meta>> victims;
   {
     std::lock_guard lock(arena.mu);
-    for (std::size_t c = 0; c < kNumClasses; ++c) {
-      auto& slot = cache.slots[c];
-      for (std::size_t i = 0; i < slot.count; ++i)
-        arena.free_lists[c].push_back(slot.blocks[i]);
-      slot.count = 0;
-      for (void* p : arena.free_lists[c]) {
+    t_cache().flush_locked(arena);
+    for (const auto& entry : arena.free_lists)
+      for (void* p : entry.second) {
         auto it = arena.registry.find(p);
         if (it != arena.registry.end()) {
           victims.emplace_back(p, it->second);
           arena.registry.erase(it);
         }
       }
-      arena.free_lists[c].clear();
-    }
+    arena.free_lists.clear();
   }
   for (auto& [p, m] : victims) {
     st.bytes_pooled.fetch_sub(m.bytes, std::memory_order_relaxed);

@@ -359,8 +359,11 @@ void ThreadPool::submit(RangeFn invoke, void* ctx, std::size_t nchunks,
   }
 }
 
-std::size_t ThreadPool::chunk_size(std::size_t n) const noexcept {
-  const std::size_t grain = std::max<std::size_t>(1, launch_params().grain);
+std::size_t ThreadPool::chunk_size(std::size_t n,
+                                   std::size_t unit) const noexcept {
+  const std::size_t iters = std::max<std::size_t>(1, launch_params().grain);
+  const std::size_t u = std::max<std::size_t>(1, unit);
+  const std::size_t grain = (iters + u - 1) / u;
   const std::size_t target = static_cast<std::size_t>(threads_) * kChunksPerWorker;
   return std::max(grain, (n + target - 1) / target);
 }

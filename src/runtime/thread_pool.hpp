@@ -39,6 +39,7 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace syclport::rt {
@@ -158,8 +159,16 @@ class ThreadPool {
   /// for each (begin < end always holds).
   template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
+    parallel_for(n, 1, std::forward<F>(fn));
+  }
+
+  /// As above, where each index of [0, n) stands for `unit` iterations
+  /// (one row of a multi-dimensional loop). The grain keeps counting
+  /// iterations: a chunk holds at least ceil(grain / unit) indices.
+  template <typename F>
+  void parallel_for(std::size_t n, std::size_t unit, F&& fn) {
     if (n == 0) return;
-    const std::size_t chunk = chunk_size(n);
+    const std::size_t chunk = chunk_size(n, unit);
     const std::size_t nchunks = (n + chunk - 1) / chunk;
     auto body = [&fn, chunk, n](std::size_t c) {
       const std::size_t b = c * chunk;
@@ -219,7 +228,8 @@ class ThreadPool {
   void run_serial(RangeFn invoke, void* ctx, std::size_t nchunks,
                   Schedule sched);
   void submit(RangeFn invoke, void* ctx, std::size_t nchunks, Schedule sched);
-  [[nodiscard]] std::size_t chunk_size(std::size_t n) const noexcept;
+  [[nodiscard]] std::size_t chunk_size(std::size_t n,
+                                       std::size_t unit) const noexcept;
 
   void worker_loop(unsigned worker_id);
   void work(unsigned worker_id);

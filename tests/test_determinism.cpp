@@ -10,6 +10,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -24,6 +25,7 @@
 #include "core/report.hpp"
 #include "op2/op2.hpp"
 #include "ops/ops.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace apps = syclport::apps;
 namespace ops = syclport::ops;
@@ -207,6 +209,203 @@ TEST(InPlaceStencil, ScanMatchesSerialOnEveryBackend) {
       ASSERT_TRUE(BitEqual(got[i], serial[i]))
           << "point " << i << " backend " << static_cast<int>(b);
   }
+}
+
+// --- ops: host row sweeps ---------------------------------------------------
+//
+// The host backends run a 2-D/3-D par_loop as whole fast-dimension rows
+// of stepped accessors. Every backend must write the same points and
+// fold the same row partials as a plain nested-loop reference.
+
+constexpr double kSweepWeight = 1.0000001;
+
+/// Both components of the swept input at a padded-grid point.
+double sweep_input(long i0, long i1, long i2, int c) {
+  const long h = (i0 + 3) * 131 + (i1 + 3) * 31 + (i2 + 3) * 7 + c * 5;
+  return 1.0 / (3.0 + static_cast<double>(h % 97));
+}
+
+/// The kernel's value at a point, from the input directly: component 0
+/// at the point, component 1 one step along the fastest dimension,
+/// component 0 one step back along the next-slower one.
+double sweep_value(int dims, long i0, long i1, long i2) {
+  if (dims == 2)
+    return sweep_input(i0, i1, 0, 0) * 1.5 + sweep_input(i0, i1 + 1, 0, 1) -
+           0.25 * sweep_input(i0 - 1, i1, 0, 0);
+  return sweep_input(i0, i1, i2, 0) * 1.5 + sweep_input(i0, i1, i2 + 1, 1) -
+         0.25 * sweep_input(i0, i1 - 1, i2, 0);
+}
+
+struct SweepResult {
+  std::vector<double> out;  ///< output over the range, fast index last
+  double sum = 0.25;
+  double min = 1e300;
+};
+
+/// Visit every point of `rg`, slow to fast.
+template <typename F>
+void for_each_point(int dims, const ops::Range& rg, F&& f) {
+  for (long i0 = rg.lo[0]; i0 < rg.hi[0]; ++i0)
+    for (long i1 = rg.lo[1]; i1 < rg.hi[1]; ++i1)
+      for (long i2 = dims == 3 ? rg.lo[2] : 0;
+           i2 < (dims == 3 ? rg.hi[2] : 1); ++i2)
+        f(i0, i1, i2);
+}
+
+/// The documented fold: one partial per row, accumulated in ascending
+/// fast order and folded into the target in ascending row order.
+SweepResult sweep_reference(int dims, const ops::Range& rg) {
+  SweepResult r;
+  const std::size_t d = static_cast<std::size_t>(dims - 1);
+  const long row_len = rg.hi[d] - rg.lo[d];
+  double part_sum = 0.0, part_min = 0.0;
+  long in_row = 0;
+  for_each_point(dims, rg, [&](long i0, long i1, long i2) {
+    if (in_row == 0) {
+      part_sum = 0.0;
+      part_min = std::numeric_limits<double>::max();
+    }
+    const double v = sweep_value(dims, i0, i1, i2);
+    r.out.push_back(v);
+    part_sum = part_sum + v * kSweepWeight;
+    part_min = v < part_min ? v : part_min;
+    if (++in_row == row_len) {
+      r.sum = r.sum + part_sum;
+      r.min = part_min < r.min ? part_min : r.min;
+      in_row = 0;
+    }
+  });
+  return r;
+}
+
+SweepResult sweep(ops::Backend b, int dims, const ops::Range& rg,
+                  std::optional<std::size_t> grain = std::nullopt) {
+  ops::Options o;
+  o.backend = b;
+  o.record = false;
+  o.grain = grain;
+  ops::Context ctx(o);
+  const std::array<std::size_t, 3> size =
+      dims == 2 ? std::array<std::size_t, 3>{37, 41, 1}
+                : std::array<std::size_t, 3>{7, 9, 11};
+  ops::Block blk(ctx, "sweep", dims, size);
+  ops::Dat<double> in(blk, "in", 2, 2), out(blk, "out", 1, 2);
+  out.fill(-1.0);
+  for (long i0 = -2; i0 < static_cast<long>(size[0]) + 2; ++i0)
+    for (long i1 = -2; i1 < static_cast<long>(size[1]) + 2; ++i1)
+      for (long i2 = dims == 3 ? -2 : 0;
+           i2 < (dims == 3 ? static_cast<long>(size[2]) + 2 : 1); ++i2)
+        for (int c = 0; c < 2; ++c)
+          in.at(i0, i1, i2, c) = sweep_input(i0, i1, i2, c);
+
+  SweepResult r;
+  if (dims == 2) {
+    ops::par_loop(
+        ctx, {"sweep2d"}, blk, rg,
+        [](ops::ACC<double> x, ops::ACC<double> y, ops::Reducer<double> s,
+           ops::Reducer<double> m) {
+          const double v = x.comp(0, 0, 0) * 1.5 + x.comp(1, 1, 0) -
+                           0.25 * x.comp(0, 0, -1);
+          y(0, 0) = v;
+          s += v * kSweepWeight;
+          m.combine(v);
+        },
+        ops::arg(in, ops::S2D_5PT, ops::Acc::R),
+        ops::arg(out, ops::S_PT, ops::Acc::W),
+        ops::reduce(r.sum, ops::RedOp::Sum),
+        ops::reduce(r.min, ops::RedOp::Min));
+  } else {
+    ops::par_loop(
+        ctx, {"sweep3d"}, blk, rg,
+        [](ops::ACC<double> x, ops::ACC<double> y, ops::Reducer<double> s,
+           ops::Reducer<double> m) {
+          const double v = x.comp(0, 0, 0, 0) * 1.5 + x.comp(1, 1, 0, 0) -
+                           0.25 * x.comp(0, 0, -1, 0);
+          y(0, 0, 0) = v;
+          s += v * kSweepWeight;
+          m.combine(v);
+        },
+        ops::arg(in, ops::S3D_7PT, ops::Acc::R),
+        ops::arg(out, ops::S_PT, ops::Acc::W),
+        ops::reduce(r.sum, ops::RedOp::Sum),
+        ops::reduce(r.min, ops::RedOp::Min));
+  }
+  for_each_point(dims, rg, [&](long i0, long i1, long i2) {
+    r.out.push_back(out.at(i0, i1, i2));
+  });
+  return r;
+}
+
+::testing::AssertionResult SweepEqual(const SweepResult& got,
+                                      const SweepResult& want) {
+  if (got.out.size() != want.out.size())
+    return ::testing::AssertionFailure()
+           << got.out.size() << " points vs " << want.out.size();
+  for (std::size_t i = 0; i < got.out.size(); ++i)
+    if (auto eq = BitEqual(got.out[i], want.out[i]); !eq)
+      return eq << " at point " << i;
+  if (auto eq = BitEqual(got.sum, want.sum); !eq) return eq << " (sum)";
+  if (auto eq = BitEqual(got.min, want.min); !eq) return eq << " (min)";
+  return ::testing::AssertionSuccess();
+}
+
+void check_sweeps(int dims, const std::vector<ops::Range>& ranges) {
+  for (const ops::Range& rg : ranges) {
+    const SweepResult want = sweep_reference(dims, rg);
+    const std::size_t d = static_cast<std::size_t>(dims - 1);
+    const auto row_len = static_cast<std::size_t>(rg.hi[d] - rg.lo[d]);
+    EXPECT_TRUE(SweepEqual(sweep(ops::Backend::Serial, dims, rg), want))
+        << dims << "-D serial, range from " << rg.lo[0] << "," << rg.lo[1];
+    for (const ops::Backend b :
+         {ops::Backend::Threads, ops::Backend::MPI, ops::Backend::SyclFlat,
+          ops::Backend::SyclNd})
+      EXPECT_TRUE(SweepEqual(sweep(b, dims, rg), want))
+          << dims << "-D backend " << static_cast<int>(b) << ", range from "
+          << rg.lo[0] << "," << rg.lo[1];
+    // Grains below, at and above one row, in points.
+    for (const std::size_t grain : {std::size_t{1}, row_len, 3 * row_len + 1})
+      EXPECT_TRUE(SweepEqual(sweep(ops::Backend::Threads, dims, rg, grain),
+                             want))
+          << dims << "-D grain " << grain;
+  }
+}
+
+ops::Range range3(std::array<long, 3> lo, std::array<long, 3> hi) {
+  ops::Range r;
+  r.lo = lo;
+  r.hi = hi;
+  return r;
+}
+
+TEST(RowSweep, TwoDimHaloRangesBitEqualReference) {
+  // The whole interior, ranges reaching one point into the halo on
+  // every side, a single row and a single column.
+  check_sweeps(2, {range3({0, 0, 0}, {37, 41, 1}),
+                   range3({-1, -1, 0}, {38, 42, 1}),
+                   range3({-1, 3, 0}, {20, 42, 1}),
+                   range3({5, -1, 0}, {6, 41, 1}),
+                   range3({-1, 40, 0}, {38, 42, 1})});
+}
+
+TEST(RowSweep, RaggedThreeDimRangesBitEqualReference) {
+  check_sweeps(3, {range3({0, 0, 0}, {7, 9, 11}),
+                   range3({-1, 2, -1}, {8, 5, 12}),
+                   range3({3, -1, 4}, {4, 10, 5}),
+                   range3({1, 0, 0}, {6, 1, 11})});
+}
+
+TEST(RowSweep, GrainCountsPointsNotRows) {
+  // A grain of three rows' points gives chunks of at least three rows:
+  // the 37-row launch still splits, into at most 13 chunks.
+  const ops::Range all = range3({0, 0, 0}, {37, 41, 1});
+  const SweepResult want = sweep_reference(2, all);
+  EXPECT_TRUE(SweepEqual(sweep(ops::Backend::Threads, 2, all, 3 * 41), want));
+  const std::size_t chunks = syclport::rt::ThreadPool::last_stats().chunks;
+  EXPECT_GT(chunks, 1u);
+  EXPECT_LE(chunks, 13u);
+  // A grain of the whole grid is one chunk.
+  EXPECT_TRUE(SweepEqual(sweep(ops::Backend::Threads, 2, all, 37 * 41), want));
+  EXPECT_EQ(syclport::rt::ThreadPool::last_stats().chunks, 1u);
 }
 
 // --- ops: fused, tiled chain ending in a Sum reduction ----------------------

@@ -42,6 +42,44 @@ TEST(MemSizeClass, PowerOfTwoBoundaries) {
   EXPECT_EQ(mem::size_class_bytes((1u << 20) + 1), 2u << 20);
 }
 
+TEST(MemSizeClass, LargeRequestsRoundToTwoMiBMultiples) {
+  // Above 2 MiB a class is the next 2 MiB multiple, not the next power
+  // of two: a 33.7 MB CloverLeaf field takes 34 MiB, not 64 MiB.
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  EXPECT_EQ(mem::size_class_bytes(2 * kMiB), 2 * kMiB);
+  EXPECT_EQ(mem::size_class_bytes(2 * kMiB + 1), 4 * kMiB);
+  EXPECT_EQ(mem::size_class_bytes(33686272), 34 * kMiB);
+  EXPECT_EQ(mem::size_class_bytes(34 * kMiB + 1), 36 * kMiB);
+}
+
+TEST(MemSizeClass, LargeClassIsPooledBySize) {
+  ConfigGuard g;
+  mem::Config c = mem::config();
+  c.pool = true;
+  mem::set_config_for_testing(c);
+
+  constexpr std::size_t kBytes = 33686272;  // one 2048^2 CloverLeaf field
+  void* p = mem::alloc(kBytes, mem::Init::None);
+  ASSERT_NE(p, nullptr);
+  mem::dealloc(p);
+  // A neighbouring 2 MiB class is a different list: no hit.
+  auto before = mem::stats();
+  void* other = mem::alloc(kBytes + (2u << 20), mem::Init::None);
+  EXPECT_EQ(mem::stats().pool_hits, before.pool_hits);
+  // The same class comes back from the pool.
+  before = mem::stats();
+  void* q = mem::alloc(kBytes - 4096, mem::Init::None);
+  const auto after = mem::stats();
+  EXPECT_EQ(after.pool_hits, before.pool_hits + 1);
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(after.bytes_allocated - before.bytes_allocated,
+            std::size_t{34} << 20);
+  mem::dealloc(q);
+  mem::dealloc(other);
+  mem::trim();
+  EXPECT_EQ(mem::stats().bytes_pooled, 0u);
+}
+
 TEST(MemSizeClass, HugeRequestsRoundToPagesNotClasses) {
   // Beyond the largest pooled class the request is page/huge-page
   // rounded, not doubled to the next power of two.

@@ -99,8 +99,10 @@ class Context {
     return *it->second;
   }
 
-  /// Cached gather-locality statistics for accessing (dim x elem_bytes)
-  /// data in `layout` through `map` in the plan's execution order.
+  /// Gather-locality statistics for accessing (dim x elem_bytes) data
+  /// in `layout` through `map` in the plan's execution order. Served
+  /// from this context's cache, else from the process-wide memo keyed by
+  /// the map's content (hashed once per context), else measured.
   [[nodiscard]] const GatherStats& gather_for(const Map& map, int dim,
                                               std::size_t elem_bytes,
                                               Layout layout = Layout::AoS) {
@@ -116,10 +118,25 @@ class Context {
                                      elem_bytes, layout);
     auto it = gathers_.find(key);
     if (it == gathers_.end()) {
-      const auto order = execution_order(plan_for(map, strategy));
+      auto [digest, fresh] = digests_.try_emplace(&map);
+      if (fresh) digest->second = map_digest(map);
+      const GatherKey memo_key{.map_digest = digest->second,
+                               .from_size = map.from().size(),
+                               .to_size = map.to().size(),
+                               .arity = map.arity(),
+                               .strategy = strategy,
+                               .block_size = opt.block_size,
+                               .dim = dim,
+                               .elem_bytes = elem_bytes,
+                               .layout = layout,
+                               .wave = opt.wave};
       it = gathers_
-               .emplace(key, measure_gather(map, dim, elem_bytes, order,
-                                            opt.wave, 64.0, layout))
+               .emplace(key, memoized_gather(memo_key, [&] {
+                          return measure_gather(
+                              map, dim, elem_bytes,
+                              execution_order(plan_for(map, strategy)),
+                              opt.wave, 64.0, layout);
+                        }))
                .first;
     }
     return it->second;
@@ -133,6 +150,8 @@ class Context {
                       Layout>,
            GatherStats>
       gathers_;
+  /// map_digest of each map, taken on its first gather miss here.
+  std::map<const Map*, std::uint64_t> digests_;
 };
 
 }  // namespace syclport::op2

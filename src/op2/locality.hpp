@@ -11,9 +11,13 @@
 /// indirect bytes.
 
 #include <array>
+#include <compare>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "core/types.hpp"
 #include "hwmodel/loop_profile.hpp"
 #include "op2/layout.hpp"
 #include "op2/set.hpp"
@@ -50,5 +54,40 @@ struct GatherStats {
 /// The execution order a plan induces (identity for atomics, colour-
 /// grouped for global colouring, block-colour-grouped for hierarchical).
 [[nodiscard]] std::vector<int> execution_order(const struct Plan& plan);
+
+/// 64-bit digest of a map's entries (in element order).
+[[nodiscard]] std::uint64_t map_digest(const Map& map);
+
+/// Everything a gather measurement depends on, the map by content: two
+/// maps with equal entries and set sizes share one key whatever their
+/// address, and an edited map gets a new one.
+struct GatherKey {
+  std::uint64_t map_digest = 0;
+  std::size_t from_size = 0;
+  std::size_t to_size = 0;
+  int arity = 0;
+  Strategy strategy = Strategy::Atomics;  ///< Staged folded to Atomics
+  std::size_t block_size = 0;
+  int dim = 0;
+  std::size_t elem_bytes = 0;
+  Layout layout = Layout::AoS;
+  std::size_t wave = 0;
+  auto operator<=>(const GatherKey&) const = default;
+};
+
+/// The process-wide gather memo: the stats stored under `key`, or, on a
+/// miss, `measure()`'s result, which is then stored. `measure` runs
+/// outside the memo's lock, so concurrent misses on one key may both
+/// measure; they store equal stats (measure_gather is deterministic).
+[[nodiscard]] GatherStats memoized_gather(
+    const GatherKey& key, const std::function<GatherStats()>& measure);
+
+struct GatherMemoCounters {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;  ///< measurements taken
+};
+[[nodiscard]] GatherMemoCounters gather_memo_counters();
+/// Drop every entry (the counters keep counting).
+void clear_gather_memo();
 
 }  // namespace syclport::op2

@@ -69,14 +69,30 @@ struct Meta {
   bool pool_eligible = true;
 };
 
+/// A registry entry. `pooled` is set while the block is parked in an
+/// arena free list or a thread cache: dealloc sets it under the arena
+/// lock and ignores a block that already has it (a double free); alloc
+/// clears it as the block leaves the pool - on the thread-cache hit
+/// path without the lock, hence atomic.
+struct Block {
+  explicit Block(const Meta& m) : meta(m) {}
+  Meta meta;
+  std::atomic<bool> pooled{false};
+};
+using Registry = std::unordered_map<void*, Block>;
+/// Pooled blocks are held as their registry nodes (address and entry),
+/// which stay put until erased - and a block is erased only once it has
+/// left the pool.
+using PooledBlock = Registry::value_type*;
+
 /// Global arena: free lists keyed by class size (a power of two up to
-/// 2 MiB, a 2 MiB multiple above) plus the pointer->Meta registry.
+/// 2 MiB, a 2 MiB multiple above) plus the pointer->Block registry.
 /// Leaked on purpose - thread-cache flush destructors and late frees
 /// in static teardown must always find it alive.
 struct Arena {
   std::mutex mu;
-  std::unordered_map<std::size_t, std::vector<void*>> free_lists;
-  std::unordered_map<void*, Meta> registry;
+  std::unordered_map<std::size_t, std::vector<PooledBlock>> free_lists;
+  Registry registry;
 };
 
 Arena& g_arena() {
@@ -122,7 +138,7 @@ bool pooled_class(std::size_t rounded) noexcept {
 /// exit) flushes every cached block back to the global arena.
 struct ThreadCache {
   struct Slot {
-    std::array<void*, kThreadCacheSlots> blocks{};
+    std::array<PooledBlock, kThreadCacheSlots> blocks{};
     std::size_t count = 0;
   };
   std::array<Slot, kThreadCacheClasses> slots;
@@ -251,16 +267,21 @@ void* alloc(std::size_t bytes, Init init) {
 
   void* p = nullptr;
   if (cfg.pool && pooled_class(rounded) && !arena_pressure) {
+    PooledBlock hit = nullptr;
     if (auto* slot = t_cache().slot(rounded); slot && slot->count > 0)
-      p = slot->blocks[--slot->count];
-    if (!p) {
+      hit = slot->blocks[--slot->count];
+    if (!hit) {
       Arena& arena = g_arena();
       std::lock_guard lock(arena.mu);
       if (auto it = arena.free_lists.find(rounded);
           it != arena.free_lists.end() && !it->second.empty()) {
-        p = it->second.back();
+        hit = it->second.back();
         it->second.pop_back();
       }
+    }
+    if (hit) {
+      hit->second.pooled.store(false);
+      p = hit->first;
     }
   }
 
@@ -309,8 +330,8 @@ void* alloc(std::size_t bytes, Init init) {
     }
     Arena& arena = g_arena();
     std::lock_guard lock(arena.mu);
-    arena.registry.emplace(p, Meta{actual, actual_align, actual_huge,
-                                   pool_eligible});
+    arena.registry.try_emplace(p, Meta{actual, actual_align, actual_huge,
+                                       pool_eligible});
     st.fresh_allocs.fetch_add(1, std::memory_order_relaxed);
     if (actual_huge)
       st.hugepage_bytes.fetch_add(actual, std::memory_order_relaxed);
@@ -351,11 +372,14 @@ void dealloc(void* p) noexcept {
   Arena& arena = g_arena();
 
   Meta m;
+  PooledBlock entry = nullptr;
   {
     std::lock_guard lock(arena.mu);
     auto it = arena.registry.find(p);
-    if (it == arena.registry.end()) return;  // not ours / double free
-    m = it->second;
+    if (it == arena.registry.end()) return;  // not ours / freed to the OS
+    if (it->second.pooled.exchange(true)) return;  // double free
+    entry = &*it;
+    m = it->second.meta;
   }
   st.bytes_outstanding.fetch_sub(m.bytes, std::memory_order_relaxed);
 
@@ -367,11 +391,11 @@ void dealloc(void* p) noexcept {
     st.bytes_pooled.fetch_add(m.bytes, std::memory_order_relaxed);
     if (auto* slot = t_cache().slot(m.bytes);
         slot && slot->count < kThreadCacheSlots) {
-      slot->blocks[slot->count++] = p;
+      slot->blocks[slot->count++] = entry;
       return;
     }
     std::lock_guard lock(arena.mu);
-    arena.free_lists[m.bytes].push_back(p);
+    arena.free_lists[m.bytes].push_back(entry);
     return;
   }
 
@@ -392,12 +416,10 @@ void trim() {
     std::lock_guard lock(arena.mu);
     t_cache().flush_locked(arena);
     for (const auto& entry : arena.free_lists)
-      for (void* p : entry.second) {
-        auto it = arena.registry.find(p);
-        if (it != arena.registry.end()) {
-          victims.emplace_back(p, it->second);
-          arena.registry.erase(it);
-        }
+      for (PooledBlock b : entry.second) {
+        void* const addr = b->first;  // erase must not read the dying node
+        victims.emplace_back(addr, b->second.meta);
+        arena.registry.erase(addr);
       }
     arena.free_lists.clear();
   }

@@ -1,7 +1,8 @@
 // Locality & layout engine tests: RCM/SFC renumbering (bandwidth and
 // gather reduction, permutation algebra, end-to-end mesh consistency),
-// physical-layout transcoding, the staged gather/scatter lowering's
-// bit-exactness contract, and layout/ordering-canonical checkpoints.
+// the content-keyed gather memo, physical-layout transcoding, the
+// staged gather/scatter lowering's bit-exactness contract, and
+// layout/ordering-canonical checkpoints.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "apps/mgcfd/mgcfd.hpp"
@@ -177,6 +179,134 @@ TEST(LocalityRenumber, RenumberMeshRecordsPermutations) {
     EXPECT_FALSE(seen[o]);
     seen[o] = true;
   }
+}
+
+// --- gather memo -------------------------------------------------------------
+
+namespace {
+
+void expect_same_stats(const op2::GatherStats& a, const op2::GatherStats& b) {
+  EXPECT_EQ(a.avg_bytes_per_wave, b.avg_bytes_per_wave);
+  EXPECT_EQ(a.ideal_bytes_per_wave, b.ideal_bytes_per_wave);
+  EXPECT_EQ(a.line_factor, b.line_factor);
+  for (std::size_t c = 0; c < a.factor_at.size(); ++c)
+    EXPECT_EQ(a.factor_at[c], b.factor_at[c]) << "cache point " << c;
+}
+
+/// measure_gather called directly, with the order Context would use.
+op2::GatherStats direct_gather(const op2::Map& map, int dim,
+                               const op2::Options& o, Strategy s,
+                               op2::Layout layout) {
+  return op2::measure_gather(
+      map, dim, 8, op2::execution_order(op2::build_plan(map, s, o.block_size)),
+      o.wave, 64.0, layout);
+}
+
+void expect_same_gather_fields(const std::vector<syclport::hw::LoopProfile>& a,
+                               const std::vector<syclport::hw::LoopProfile>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].gather_line_factor, b[i].gather_line_factor) << a[i].name;
+    EXPECT_EQ(a[i].gather_factor_at, b[i].gather_factor_at) << a[i].name;
+  }
+}
+
+}  // namespace
+
+TEST(LocalityMemo, WarmRunMatchesColdRunAndMeasuresNothing) {
+  auto mesh = apps::mgcfd::build_rotor_mesh(10, 8, 6, 2);
+  auto o = opts(Strategy::Hierarchical);
+  o.mode = op2::Mode::ModelOnly;
+  op2::clear_gather_memo();
+  const auto before = op2::gather_memo_counters();
+  const auto cold = apps::run_mgcfd(o, mesh, 1);
+  const auto after_cold = op2::gather_memo_counters();
+  const auto warm = apps::run_mgcfd(o, mesh, 1);
+  const auto after_warm = op2::gather_memo_counters();
+
+  EXPECT_GT(after_cold.misses, before.misses) << "the cold run measures";
+  EXPECT_EQ(after_warm.misses, after_cold.misses)
+      << "the warm run must serve every gather from the memo";
+  EXPECT_GT(after_warm.hits, after_cold.hits);
+  expect_same_gather_fields(cold.profiles, warm.profiles);
+}
+
+TEST(LocalityMemo, EqualMapsShareOneEntry) {
+  // Two meshes built alike hold equal maps at different addresses.
+  auto a = apps::mgcfd::build_rotor_mesh(10, 8, 6, 1);
+  auto b = apps::mgcfd::build_rotor_mesh(10, 8, 6, 1);
+  const auto o = opts(Strategy::Atomics);
+  op2::clear_gather_memo();
+  op2::Context ca(o), cb(o);
+  const auto gs_a = ca.gather_for(*a.levels.front().e2n, 5, 8);
+  const auto misses = op2::gather_memo_counters().misses;
+  const auto gs_b = cb.gather_for(*b.levels.front().e2n, 5, 8);
+  EXPECT_EQ(op2::gather_memo_counters().misses, misses);
+  expect_same_stats(gs_a, gs_b);
+}
+
+TEST(LocalityMemo, RenumberedMeshIsMeasuredAfresh) {
+  auto mesh = apps::mgcfd::build_rotor_mesh(10, 8, 6, 1);
+  auto& e2n = *mesh.levels.front().e2n;
+  const auto o = opts(Strategy::Atomics);
+  const auto before = op2::Context(o).gather_for(e2n, 5, 8);
+  // renumber_mesh edits the map in place: same object, new content.
+  apps::mgcfd::renumber_mesh(mesh, op2::Ordering::Hilbert);
+  const auto direct =
+      direct_gather(e2n, 5, o, Strategy::Atomics, op2::Layout::AoS);
+  ASSERT_NE(direct.line_factor, before.line_factor)
+      << "the renumbering must change what the test compares";
+  expect_same_stats(op2::Context(o).gather_for(e2n, 5, 8), direct);
+}
+
+TEST(LocalityMemo, KeyFieldsStayDistinct) {
+  // Each variant is first measured through the memo, then checked
+  // against a direct measurement: a key that dropped one of these
+  // fields would serve an earlier variant's stats.
+  auto mesh = apps::mgcfd::build_rotor_mesh(10, 8, 6, 1);
+  auto& e2n = *mesh.levels.front().e2n;
+  op2::clear_gather_memo();
+  using op2::Layout;
+  for (std::size_t wave : {64, 32})
+    for (std::size_t block : {16, 64}) {
+      auto o = opts(Strategy::Atomics);
+      o.wave = wave;
+      o.block_size = block;
+      op2::Context ctx(o);
+      for (Strategy s :
+           {Strategy::Atomics, Strategy::GlobalColor, Strategy::Hierarchical})
+        for (Layout l : {Layout::AoS, Layout::SoA})
+          for (int dim : {1, 5}) {
+            SCOPED_TRACE(std::string(syclport::to_string(s)) + " " +
+                         std::string(op2::to_string(l)) + " dim " +
+                         std::to_string(dim) + " wave " +
+                         std::to_string(wave) + " block " +
+                         std::to_string(block));
+            expect_same_stats(ctx.gather_for(e2n, dim, 8, s, l),
+                              direct_gather(e2n, dim, o, s, l));
+          }
+      // Staged executes in identity order: it shares the Atomics entry.
+      const auto misses = op2::gather_memo_counters().misses;
+      expect_same_stats(ctx.gather_for(e2n, 5, 8, Strategy::Staged, Layout::AoS),
+                        direct_gather(e2n, 5, o, Strategy::Atomics, Layout::AoS));
+      EXPECT_EQ(op2::gather_memo_counters().misses, misses);
+    }
+}
+
+TEST(LocalityMemo, ConcurrentModelOnlyRunsOnOneMesh) {
+  auto mesh = apps::mgcfd::build_rotor_mesh(10, 8, 6, 2);
+  auto o = opts(Strategy::GlobalColor);
+  o.mode = op2::Mode::ModelOnly;
+  op2::clear_gather_memo();
+  std::vector<std::vector<syclport::hw::LoopProfile>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back(
+        [&, t] { got[t] = apps::run_mgcfd(o, mesh, 1).profiles; });
+  for (auto& th : threads) th.join();
+  op2::clear_gather_memo();
+  const auto serial = apps::run_mgcfd(o, mesh, 1).profiles;
+  for (const auto& profiles : got) expect_same_gather_fields(profiles, serial);
 }
 
 // --- layout transcode --------------------------------------------------------

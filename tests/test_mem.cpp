@@ -193,7 +193,13 @@ TEST(MemPool, DoubleFreeAndNullAreIgnored) {
   mem::dealloc(nullptr);
   void* p = mem::alloc(4096);
   mem::dealloc(p);
-  mem::dealloc(p);  // registry entry already consumed or pooled: no crash
+  mem::dealloc(p);  // already pooled (or freed to the OS): a no-op
+  // The block went back to the pool once, so it is handed out once.
+  void* a = mem::alloc(4096);
+  void* b = mem::alloc(4096);
+  EXPECT_NE(a, b);
+  mem::dealloc(a);
+  mem::dealloc(b);
   mem::trim();
 }
 

@@ -1,6 +1,6 @@
 // Ablation: out-of-order queue scheduling (docs/queue.md).
 //
-// Three experiments on the miniSYCL DAG scheduler:
+// Two experiments on the miniSYCL DAG scheduler:
 //   1. independent - N command groups with disjoint footprints, each
 //      emulating a fixed-latency device kernel. An in-order queue pays
 //      N back-to-back latencies; the out-of-order queue keeps several
@@ -11,37 +11,38 @@
 //      The DAG must serialize them, so the out-of-order queue can win
 //      nothing; the per-launch difference against the in-order queue
 //      is the pure scheduling overhead of DAG bookkeeping.
-//   3. dist overlap - 2-rank distributed Jacobi sweeps, blocking
-//      (import halo, then sweep) vs overlapped (interior sweep runs as
-//      an asynchronous command while the halo receives drain).
+//
+// Each experiment runs kPairs interleaved (in-order, out-of-order)
+// pairs, alternating which side runs first, and reports the median of
+// the per-pair figures, so slow drift of a shared host hits both sides
+// of a pair alike. The independent-kernel wall ratio is gated: the
+// binary exits 1 when its median exceeds kIndependentTarget. The
+// chain's DAG overhead is printed but not gated (it is a few
+// microseconds against a 500 us kernel, inside the sleep jitter).
 //
 // The command records in sycl::launch_log provide submit->start
 // latency and dependency-edge counts per command.
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <functional>
 #include <iostream>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/report.hpp"
+#include "core/statistics.hpp"
 #include "core/timing.hpp"
-#include "ops/dist.hpp"
-#include "ops/ops.hpp"
 #include "sycl/sycl.hpp"
 
 using namespace syclport;
-namespace ops = syclport::ops;
-namespace dist = syclport::ops::dist;
-namespace mpi = syclport::mpi;
 
 namespace {
 
 constexpr int kKernels = 32;
 constexpr std::size_t kElems = 1024;
 constexpr auto kKernelLatency = std::chrono::microseconds(500);
+constexpr int kPairs = 9;
+constexpr double kIndependentTarget = 0.7;
 
 /// One emulated small device kernel: fixed latency plus a touch of the
 /// command's own buffer (so the footprint is real, not a placebo).
@@ -79,160 +80,110 @@ double run_chain(sycl::queue q) {
   return t.seconds();
 }
 
-struct DistResult {
-  double blocking_s = 0.0;
-  double overlap_s = 0.0;
+/// kPairs interleaved (in-order, out-of-order) timings of one
+/// experiment; odd pairs run the out-of-order side first. The
+/// out-of-order runs are recorded in the launch log.
+struct Pairs {
+  std::vector<double> ordered, ooo;
+  std::vector<sycl::command_record> commands;
 };
 
-DistResult run_dist(std::size_t n, int iters) {
-  DistResult res;
-  std::mutex mu;
-  mpi::run(2, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 2);
-    dist::DistDat<double> a(ctx, {n, n, 1}, 1), b(ctx, {n, n, 1}, 1);
-    auto kernel = [](ops::ACC<double> out, ops::ACC<double> in) {
-      out(0, 0) = 0.25 * (in(1, 0) + in(-1, 0) + in(0, 1) + in(0, -1));
-    };
-    auto init = [](std::size_t i, std::size_t j, std::size_t) {
-      return std::sin(0.1 * static_cast<double>(i)) +
-             std::cos(0.2 * static_cast<double>(j));
-    };
-
-    auto blocking_iter = [&] {
-      dist::par_loop(ctx, kernel, dist::arg(b, ops::S_PT, ops::Acc::W),
-                     dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-      std::swap(a.field().data, b.field().data);
-    };
-    auto overlap_iter = [&] {
-      dist::par_loop_overlap(ctx, kernel,
-                             dist::arg(b, ops::S_PT, ops::Acc::W),
-                             dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-      std::swap(a.field().data, b.field().data);
-    };
-
-    // Warm caches, first-touch pages and the scheduler workers, then
-    // time both paths interleaved and keep the best of ten - the
-    // usual guard against timeslicing noise on a shared host.
-    a.init(init);
-    blocking_iter();
-    overlap_iter();
-    double blocking = 1e30, overlap = 1e30;
-    for (int rep = 0; rep < 10; ++rep) {
-      comm.barrier();
-      WallTimer tb;
-      for (int it = 0; it < iters; ++it) blocking_iter();
-      blocking = std::min(blocking, tb.seconds());
-      comm.barrier();
-      WallTimer to;
-      for (int it = 0; it < iters; ++it) overlap_iter();
-      overlap = std::min(overlap, to.seconds());
+Pairs run_pairs(const std::function<double(sycl::queue)>& experiment) {
+  const sycl::property_list in_order{sycl::property::queue::in_order{}};
+  auto& log = sycl::launch_log::instance();
+  log.clear();
+  Pairs p;
+  auto ordered = [&] { p.ordered.push_back(experiment(sycl::queue{in_order})); };
+  auto ooo = [&] {
+    log.set_enabled(true);
+    p.ooo.push_back(experiment(sycl::queue{}));
+    log.set_enabled(false);
+  };
+  for (int i = 0; i < kPairs; ++i) {
+    if (i % 2 == 0) {
+      ordered();
+      ooo();
+    } else {
+      ooo();
+      ordered();
     }
+  }
+  p.commands = log.commands_snapshot();
+  log.clear();
+  return p;
+}
 
-    if (comm.rank() == 0) {
-      std::lock_guard lock(mu);
-      res.blocking_s = blocking;
-      res.overlap_s = overlap;
-    }
-  });
-  return res;
+double mean_dep_edges(const std::vector<sycl::command_record>& cmds) {
+  double edges = 0.0;
+  for (const auto& c : cmds) edges += static_cast<double>(c.profile.dep_edges);
+  return cmds.empty() ? 0.0 : edges / static_cast<double>(cmds.size());
 }
 
 }  // namespace
 
 int main() {
-  std::cout << "=== Ablation: out-of-order queue / halo overlap ===\n\n";
+  std::cout << "=== Ablation: out-of-order queue ===\n\n";
   auto& sched = sycl::detail::Scheduler::instance();
-  std::cout << "scheduler workers: " << sched.workers() << "\n\n";
+  std::cout << "scheduler workers: " << sched.workers() << ", " << kPairs
+            << " interleaved pairs per experiment\n\n";
 
   report::Table t({"section", "queue", "metric", "value"});
 
-  // 1. Independent kernels: the latency-hiding case.
-  const sycl::property_list in_order_props{sycl::property::queue::in_order{}};
-  const double ind_ordered = run_independent(sycl::queue{in_order_props});
-
-  auto& log = sycl::launch_log::instance();
-  log.clear();
-  log.set_enabled(true);
-  const double ind_ooo = run_independent(sycl::queue{});
-  log.set_enabled(false);
-  const auto ind_cmds = log.commands_snapshot();
-  log.clear();
-
-  double mean_latency = 0.0, mean_edges = 0.0;
-  for (const auto& c : ind_cmds) {
+  // 1. Independent kernels: the latency-hiding case (gated).
+  const Pairs ind = run_pairs(run_independent);
+  std::vector<double> ind_ratios;
+  for (int i = 0; i < kPairs; ++i)
+    ind_ratios.push_back(ind.ooo[static_cast<std::size_t>(i)] /
+                         ind.ordered[static_cast<std::size_t>(i)]);
+  const double ind_ratio = stats::median(ind_ratios);
+  double mean_latency = 0.0;
+  for (const auto& c : ind.commands)
     mean_latency += c.profile.start_seconds - c.profile.submit_seconds;
-    mean_edges += static_cast<double>(c.profile.dep_edges);
-  }
-  if (!ind_cmds.empty()) {
-    mean_latency /= static_cast<double>(ind_cmds.size());
-    mean_edges /= static_cast<double>(ind_cmds.size());
-  }
-  const double ind_ratio = ind_ooo / ind_ordered;
-  t.add_row({"independent", "in_order", "wall_ms",
-             report::fmt(ind_ordered * 1e3, 3)});
-  t.add_row({"independent", "out_of_order", "wall_ms",
-             report::fmt(ind_ooo * 1e3, 3)});
-  t.add_row({"independent", "out_of_order", "wall_ratio",
+  if (!ind.commands.empty())
+    mean_latency /= static_cast<double>(ind.commands.size());
+  t.add_row({"independent", "in_order", "wall_ms_median",
+             report::fmt(stats::median(ind.ordered) * 1e3, 3)});
+  t.add_row({"independent", "out_of_order", "wall_ms_median",
+             report::fmt(stats::median(ind.ooo) * 1e3, 3)});
+  t.add_row({"independent", "out_of_order", "wall_ratio_median",
              report::fmt(ind_ratio, 3)});
+  t.add_row({"independent", "out_of_order", "wall_ratio_min",
+             report::fmt(stats::min(ind_ratios), 3)});
+  t.add_row({"independent", "out_of_order", "wall_ratio_max",
+             report::fmt(stats::max(ind_ratios), 3)});
   t.add_row({"independent", "out_of_order", "submit_to_start_us",
              report::fmt(mean_latency * 1e6, 2)});
   t.add_row({"independent", "out_of_order", "mean_dep_edges",
-             report::fmt(mean_edges, 2)});
-  std::cout << kKernels << " independent kernels: in-order "
-            << report::fmt(ind_ordered * 1e3, 2) << " ms, out-of-order "
-            << report::fmt(ind_ooo * 1e3, 2) << " ms (ratio "
-            << report::fmt(ind_ratio, 2) << ", target <= 0.7)\n";
+             report::fmt(mean_dep_edges(ind.commands), 2)});
+  const bool ind_ok = ind_ratio <= kIndependentTarget;
+  std::cout << kKernels << " independent kernels: out-of-order / in-order "
+            << "median ratio " << report::fmt(ind_ratio, 3) << " (pairs "
+            << report::fmt(stats::min(ind_ratios), 3) << "-"
+            << report::fmt(stats::max(ind_ratios), 3) << ", target <= "
+            << report::fmt(kIndependentTarget, 1) << ": "
+            << (ind_ok ? "ok" : "FAILED") << ")\n";
 
-  // 2. Dependent chain: DAG bookkeeping overhead per launch.
-  const double ch_ordered = run_chain(sycl::queue{in_order_props});
-
-  log.clear();
-  log.set_enabled(true);
-  const double ch_ooo = run_chain(sycl::queue{});
-  log.set_enabled(false);
-  const auto ch_cmds = log.commands_snapshot();
-  log.clear();
-
-  double ch_edges = 0.0;
-  for (const auto& c : ch_cmds)
-    ch_edges += static_cast<double>(c.profile.dep_edges);
-  if (!ch_cmds.empty()) ch_edges /= static_cast<double>(ch_cmds.size());
-  const double overhead_us = (ch_ooo - ch_ordered) / kKernels * 1e6;
-  t.add_row({"chain", "in_order", "wall_ms",
-             report::fmt(ch_ordered * 1e3, 3)});
-  t.add_row({"chain", "out_of_order", "wall_ms",
-             report::fmt(ch_ooo * 1e3, 3)});
-  t.add_row({"chain", "out_of_order", "sched_overhead_us_per_launch",
+  // 2. Dependent chain: DAG bookkeeping overhead per launch (ungated).
+  const Pairs ch = run_pairs(run_chain);
+  std::vector<double> overheads_us;
+  for (int i = 0; i < kPairs; ++i)
+    overheads_us.push_back((ch.ooo[static_cast<std::size_t>(i)] -
+                            ch.ordered[static_cast<std::size_t>(i)]) /
+                           kKernels * 1e6);
+  const double overhead_us = stats::median(overheads_us);
+  t.add_row({"chain", "in_order", "wall_ms_median",
+             report::fmt(stats::median(ch.ordered) * 1e3, 3)});
+  t.add_row({"chain", "out_of_order", "wall_ms_median",
+             report::fmt(stats::median(ch.ooo) * 1e3, 3)});
+  t.add_row({"chain", "out_of_order", "sched_overhead_us_per_launch_median",
              report::fmt(overhead_us, 2)});
   t.add_row({"chain", "out_of_order", "mean_dep_edges",
-             report::fmt(ch_edges, 2)});
-  std::cout << kKernels << "-deep RAW chain: in-order "
-            << report::fmt(ch_ordered * 1e3, 2) << " ms, out-of-order "
-            << report::fmt(ch_ooo * 1e3, 2) << " ms ("
+             report::fmt(mean_dep_edges(ch.commands), 2)});
+  std::cout << kKernels << "-deep RAW chain: "
             << report::fmt(overhead_us, 2)
-            << " us/launch DAG overhead, mean dep edges "
-            << report::fmt(ch_edges, 2) << ")\n";
-
-  // 3. Distributed sweep: halo/compute overlap. par_loop_overlap picks
-  // its strategy from Scheduler::concurrency_available(): an async
-  // queue command on multi-core hosts, inline ordering (sends in
-  // flight during the interior sweep) on single-core ones where a
-  // worker handoff buys no wall-clock overlap.
-  const char* strategy =
-      sycl::detail::Scheduler::concurrency_available() ? "queue" : "inline";
-  const DistResult d = run_dist(/*n=*/512, /*iters=*/12);
-  t.add_row({"dist_jacobi", "blocking", "wall_ms",
-             report::fmt(d.blocking_s * 1e3, 3)});
-  t.add_row({"dist_jacobi", "overlap", "wall_ms",
-             report::fmt(d.overlap_s * 1e3, 3)});
-  t.add_row({"dist_jacobi", "overlap", "wall_ratio",
-             report::fmt(d.overlap_s / d.blocking_s, 3)});
-  t.add_row({"dist_jacobi", "overlap", "strategy", strategy});
-  std::cout << "2-rank Jacobi 512x512 x12: blocking "
-            << report::fmt(d.blocking_s * 1e3, 2) << " ms, overlapped "
-            << report::fmt(d.overlap_s * 1e3, 2) << " ms (ratio "
-            << report::fmt(d.overlap_s / d.blocking_s, 2)
-            << ", target <= 1.0, strategy " << strategy << ")\n";
+            << " us/launch DAG overhead (median of pairs, not gated), "
+            << "mean dep edges " << report::fmt(mean_dep_edges(ch.commands), 2)
+            << "\n";
 
   std::cout << "\n";
   t.render(std::cout);
@@ -240,6 +191,6 @@ int main() {
     std::cout << "\nwrote ablation_async.csv\n";
   std::cout << "(independent kernels overlap across scheduler workers; "
                "dependent chains degenerate to in-order plus bounded "
-               "bookkeeping; interior sweeps hide halo latency.)\n";
-  return 0;
+               "bookkeeping.)\n";
+  return ind_ok ? 0 : 1;
 }

@@ -72,15 +72,14 @@ void for_face(const LocalField<T>& f, int dim, int side, bool ghost, Fn&& fn) {
 }
 }  // namespace detail
 
-/// A halo exchange split into its comm/compute-overlap phases.
-/// Construction eagerly packs every interior-adjacent face and posts
-/// the (buffered) sends; finish() blocks on the receives and unpacks
-/// the ghost slabs. Between the two the caller may freely *read* every
-/// interior cell and *write* cells at distance >= halo from the block
-/// faces - the packed strips were copied out at construction and the
-/// receives only write ghost cells, which are disjoint from the
-/// interior. This is what lets the OPS/OP2 dist layers run interior
-/// sweeps overlapped with the exchange (docs/queue.md).
+/// A halo exchange in two phases. Construction eagerly packs every
+/// interior-adjacent face and posts the (buffered) sends; finish()
+/// blocks on the receives and unpacks the ghost slabs. Between the two
+/// the caller may freely *read* every interior cell and *write* cells
+/// at distance >= halo from the block faces - the packed strips were
+/// copied out at construction and the receives only write ghost cells,
+/// which are disjoint from the interior. exchange_halos() below runs
+/// the two phases back to back.
 ///
 /// Tags encode (dim, direction) so concurrent exchanges of different
 /// fields must still not interleave per peer; one in-flight exchange

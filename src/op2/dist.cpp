@@ -56,21 +56,6 @@ DistMesh::DistMesh(mpi::Comm& comm, const Map& global_e2n,
           g2l.at(global_e2n.at(static_cast<std::size_t>(owned_edges_[le]), i));
   local_e2n_->check();
 
-  // Interior/boundary split for halo/compute overlap: an owned edge is
-  // "boundary" iff it touches any halo node (local index >= n_owned_),
-  // i.e. it reads values the halo import refreshes. Interior edges can
-  // run concurrently with the import.
-  for (std::size_t le = 0; le < owned_edges_.size(); ++le) {
-    bool touches_halo = false;
-    for (int i = 0; i < global_e2n.arity(); ++i)
-      if (static_cast<std::size_t>(local_e2n_->at(le, i)) >= n_owned_) {
-        touches_halo = true;
-        break;
-      }
-    (touches_halo ? boundary_edges_ : interior_edges_)
-        .push_back(static_cast<int>(le));
-  }
-
   // Group halo global ids by their owner, preserving halo order (the
   // payload order of every subsequent exchange).
   recv_idx_.assign(static_cast<std::size_t>(np), {});

@@ -15,7 +15,6 @@
 
 #include "minimpi/comm.hpp"
 #include "op2/op2.hpp"
-#include "sycl/queue.hpp"
 
 namespace syclport::op2::dist {
 
@@ -64,34 +63,17 @@ class DistMesh {
     return recv_idx_;
   }
 
-  /// Owned edges split by halo dependence: interior edges touch owned
-  /// nodes only, boundary edges read at least one imported halo node.
-  /// Together they partition [0, edges().size()).
-  [[nodiscard]] const std::vector<int>& interior_edges() const {
-    return interior_edges_;
-  }
-  [[nodiscard]] const std::vector<int>& boundary_edges() const {
-    return boundary_edges_;
-  }
-
-  /// Rank-local out-of-order queue; par_loop_overlap submits the
-  /// interior sweep through it, overlapped with the halo import.
-  [[nodiscard]] sycl::queue& queue() { return queue_; }
-
  private:
   mpi::Comm* comm_;
   std::size_t n_owned_ = 0;
   std::vector<int> owned_nodes_;
   std::vector<int> halo_nodes_;
   std::vector<int> owned_edges_;
-  std::vector<int> interior_edges_;
-  std::vector<int> boundary_edges_;
   std::unique_ptr<Set> local_nodes_;
   std::unique_ptr<Set> local_edges_;
   std::unique_ptr<Map> local_e2n_;
   std::vector<std::vector<int>> send_idx_;
   std::vector<std::vector<int>> recv_idx_;
-  sycl::queue queue_;
 };
 
 /// A node dat distributed with the mesh: values for owned + halo nodes.
@@ -115,17 +97,9 @@ class DistNodeDat {
 
   /// Fetch current owner values into the halo region (collective).
   void import_halo() {
-    import_halo_begin();
-    import_halo_finish();
+    exchange_begin(/*reverse=*/false);
+    exchange_finish(/*reverse=*/false);
   }
-
-  /// Overlap form of import_halo: begin posts the (buffered) sends of
-  /// this rank's owned boundary values; finish blocks on the receives
-  /// and writes the halo slots. Between the two, owned-node values may
-  /// be read freely and halo slots must not be touched - which is what
-  /// lets interior-edge sweeps run concurrently with the import.
-  void import_halo_begin() { exchange_begin(/*reverse=*/false); }
-  void import_halo_finish() { exchange_finish(/*reverse=*/false); }
 
   /// Send halo-region contributions back to their owners, add them
   /// there, and zero the halo region (collective). The INC-completion
@@ -219,85 +193,5 @@ class DistEdgeDat {
   DistMesh* mesh_;
   Dat<T> dat_;
 };
-
-namespace detail {
-
-[[nodiscard]] inline sycl::access_mode to_mode(Acc a) {
-  switch (a) {
-    case Acc::R: return sycl::access_mode::read;
-    // OP2 W args are not read before written: discard_write (conflicts
-    // exactly like write, additionally marks a pure write stream).
-    case Acc::W: return sycl::access_mode::discard_write;
-    default: return sycl::access_mode::read_write;  // RW, INC
-  }
-}
-
-/// Declare one par_loop argument's storage in a command group's
-/// footprint, so interior commands of different ranks (distinct
-/// rank-local dats) stay independent in the scheduler's DAG. The base
-/// address is an identity token only, so storage() is used - valid for
-/// every physical layout (elem() asserts AoS).
-template <typename T>
-inline void declare_arg(sycl::handler& h, const DirectArg<T>& a) {
-  h.require(static_cast<const void*>(a.dat->storage()), to_mode(a.acc));
-}
-template <typename T>
-inline void declare_arg(sycl::handler& h, const IndirectArg<T>& a) {
-  h.require(static_cast<const void*>(a.dat->storage()), to_mode(a.acc));
-}
-template <typename T>
-inline void declare_arg(sycl::handler& h, const op2::detail::IncArg<T>& a) {
-  h.require(static_cast<const void*>(a.dat->storage()),
-            sycl::access_mode::read_write);
-}
-template <typename T>
-inline void declare_arg(sycl::handler& h, const GblArg<T>& a) {
-  h.require(static_cast<const void*>(a.target), sycl::access_mode::read_write);
-}
-
-}  // namespace detail
-
-/// Owner-compute par_loop over the mesh's owned edges with
-/// halo/compute overlap:
-///   1. post `imported`'s halo sends,
-///   2. submit the interior-edge sweep (edges touching no halo node)
-///      as an asynchronous command on the mesh's out-of-order queue,
-///   3. drain the halo receives on the rank thread while it runs,
-///   4. join the interior command, then sweep the boundary edges.
-/// Equivalent to `imported.import_halo(); par_loop(ctx, meta,
-/// mesh.edges(), kernel, args...)` up to the order in which element
-/// contributions combine (INC targets, global reductions). `imported`
-/// must be the dat (or one of the dats) the kernel reads through the
-/// halo; additional dats that need importing must be imported before
-/// the call. No LoopProfile is recorded for the split sweeps.
-template <typename T, typename K, typename... Args>
-void par_loop_overlap(op2::Context& ctx, Meta meta, DistMesh& mesh,
-                      DistNodeDat<T>& imported, K kernel, Args... args) {
-  imported.import_halo_begin();
-  if (sycl::detail::Scheduler::concurrency_available()) {
-    op2::Context* ctxp = &ctx;
-    DistMesh* meshp = &mesh;
-    sycl::event ev = mesh.queue().submit([&](sycl::handler& h) {
-      (detail::declare_arg(h, args), ...);
-      h.single_task([ctxp, meta, meshp, kernel, args...]() {
-        op2::par_loop_subset(*ctxp, meta, meshp->edges(),
-                             std::span<const int>(meshp->interior_edges()),
-                             kernel, args...);
-      });
-    });
-    imported.import_halo_finish();
-    ev.wait();
-  } else {
-    // Single hardware thread: keep the overlap ordering (sends posted
-    // before the interior sweep) but skip the worker handoff.
-    op2::par_loop_subset(ctx, meta, mesh.edges(),
-                         std::span<const int>(mesh.interior_edges()), kernel,
-                         args...);
-    imported.import_halo_finish();
-  }
-  op2::par_loop_subset(ctx, meta, mesh.edges(),
-                       std::span<const int>(mesh.boundary_edges()), kernel,
-                       args...);
-}
 
 }  // namespace syclport::op2::dist

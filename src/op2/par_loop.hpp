@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -558,56 +557,6 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     }
     detail::close_sweeps(binders);
   }
-}
-
-/// par_loop over an explicit subset of `set`'s elements. The dist
-/// overlap path uses this to split owned edges into an interior sweep
-/// (run concurrently with the halo import) and a boundary sweep.
-/// Races between INC arguments are resolved by atomics only - a
-/// colouring plan would have to be rebuilt per subset, and the
-/// owner-compute pipeline this serves uses Atomics/None - so coloured
-/// strategies are rejected for parallel INC subsets. No LoopProfile is
-/// recorded: the subset is an execution detail of the enclosing loop.
-template <typename K, typename... Args>
-void par_loop_subset(Context& ctx, Meta meta, Set& set,
-                     std::span<const int> elems, K&& kernel, Args... args) {
-  if (elems.empty() || !ctx.executing()) return;
-  if (elems.size() > set.size())
-    throw std::invalid_argument("par_loop_subset: subset larger than set");
-
-  std::vector<detail::ArgInfo> infos{detail::arg_info(args)...};
-  for (const auto& i : infos)
-    if (!i.is_gbl && i.layout != Layout::AoS)
-      throw std::invalid_argument(
-          "par_loop_subset: non-AoS dats need the staged full-set loop");
-  const bool has_inc =
-      std::any_of(infos.begin(), infos.end(),
-                  [](const auto& i) { return i.acc == Acc::INC; });
-  // Staged has no subset lowering (its scratch arenas assume the full
-  // identity sweep); subsets fall back to the atomic increments the
-  // owner-compute pipeline was written for.
-  const bool atomic = has_inc && (ctx.opt.strategy == Strategy::Atomics ||
-                                  ctx.opt.strategy == Strategy::Staged);
-  if (has_inc && !atomic && ctx.opt.strategy != Strategy::None &&
-      ctx.opt.exec != Exec::Serial)
-    throw std::invalid_argument(
-        "par_loop_subset: INC needs Strategy::Atomics (or serial execution)");
-
-  auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  constexpr bool has_gbl = (detail::is_gbl_arg<Args>::value || ...);
-  detail::open_sweeps(
-      binders, BlockPartition::uniform(elems.size(), kReduceChunk).count());
-  detail::sweep_list<has_gbl>(
-      ctx.opt.exec, ctx.queue, meta.name, elems.size(),
-      [&](std::size_t i, std::size_t blk) {
-        std::apply(
-            [&](const auto&... b) {
-              kernel(b.make(static_cast<std::size_t>(elems[i]), atomic,
-                            blk)...);
-            },
-            binders);
-      });
-  detail::close_sweeps(binders);
 }
 
 }  // namespace syclport::op2

@@ -128,15 +128,6 @@ void append_token(std::string& out, const char* key, const std::string& val) {
       }
     });
   }
-  if (site.axes & kOverlap) {
-    cross([&](const Config& c, std::vector<Config>& next) {
-      for (const bool q : {true, false}) {
-        Config d = c;
-        d.overlap_queue = q;
-        next.push_back(d);
-      }
-    });
-  }
   if (site.axes & kTile) {
     std::vector<std::size_t> tiles{0};
     for (const std::size_t t : priors.tiles)
@@ -252,8 +243,6 @@ std::string Config::to_string() const {
                      std::to_string((*local)[1]) + "x" +
                      std::to_string((*local)[2]));
   }
-  if (overlap_queue)
-    append_token(out, "overlap", *overlap_queue ? "queue" : "inline");
   if (tile) append_token(out, "tile", std::to_string(*tile));
   if (first_touch)
     append_token(out, "first_touch", *first_touch ? "on" : "off");
@@ -315,10 +304,6 @@ std::optional<Config> Config::parse(std::string_view s) {
         if (!last) rest = rest.substr(x + 1);
       }
       cfg.local = shape;
-    } else if (key == "overlap") {
-      if (val == "queue") cfg.overlap_queue = true;
-      else if (val == "inline") cfg.overlap_queue = false;
-      else return std::nullopt;
     } else if (key == "tile") {
       const auto t = parse_size(val);
       if (!t) return std::nullopt;
@@ -561,7 +546,7 @@ bool Autotuner::save_locked() const {
     else
       data.entries.push_back({st->key, st->best, fingerprint_});
   }
-  // Merge-on-load: another process (or another service session) may
+  // Merge-on-load: another process (or another tuner instance) may
   // have rewritten the file since our load; re-read and keep its
   // entries for (key, fp) identities we are not rewriting ourselves,
   // then publish the union through the atomic-rename path.

@@ -4,7 +4,7 @@
 /// tuning cache.
 ///
 /// The paper's conclusion (§4.4) is that no single schedule /
-/// work-group shape / overlap strategy is performance portable - the
+/// work-group shape / tiling strategy is performance portable - the
 /// winner differs per kernel and per platform. The runtime has carried
 /// all of those knobs since PR 1/PR 2, but as static env vars. This
 /// module searches them instead: each launch site is identified by a
@@ -182,7 +182,7 @@ class TunedLaunchParams {
   /// Phase::None when this scope ended up as a plain ScopedLaunchParams.
   [[nodiscard]] Phase phase() const noexcept { return decision_.phase; }
   /// The decided configuration (meaningful when phase() != None);
-  /// callers read the axes they declared (local shape, overlap, tile).
+  /// callers read the axes they declared (local shape, tile, layout).
   [[nodiscard]] const Config& config() const noexcept {
     return decision_.config;
   }

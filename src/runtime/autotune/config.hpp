@@ -35,11 +35,11 @@ enum class Phase : std::uint8_t {
 
 /// Tunable axes, bitmask. A site declares the union of knobs its
 /// lowering actually consumes. The mask is part of every cache key, so
-/// bits keep their values once assigned (bits 6-9 are retired).
+/// bits keep their values once assigned (bits 2 and 6-9 are retired).
 enum Axis : unsigned {
   kScheduleGrain = 1u << 0,  ///< executor Schedule x grain (thread pool)
   kWorkGroup = 1u << 1,      ///< nd_range local shape (SyclNd lowering)
-  kOverlap = 1u << 2,        ///< halo/compute overlap strategy (dist)
+  // 1u << 2 is retired (was kOverlap, the dist halo/compute overlap).
   kTile = 1u << 3,           ///< LoopChain slow-dimension tile depth
   kFirstTouch = 1u << 4,     ///< rt::mem parallel first-touch on/off
   kFuse = 1u << 5,           ///< LoopChain fused vs reference schedule
@@ -54,8 +54,6 @@ struct Config {
   std::optional<std::size_t> grain;
   /// nd_range local shape, slowest dimension first (LoopProfile layout).
   std::optional<std::array<std::size_t, 3>> local;
-  /// true = submit through the out-of-order queue, false = inline.
-  std::optional<bool> overlap_queue;
   /// LoopChain tile depth; 0 = untiled reference schedule.
   std::optional<std::size_t> tile;
   /// rt::mem parallel first-touch for allocations made inside the

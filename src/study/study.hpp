@@ -59,8 +59,8 @@ void scale_mgcfd_profiles(std::vector<hw::LoopProfile>& profiles,
 /// Aggregate one experiment cell from an already-obtained loop
 /// schedule: the pure tail of StudyRunner::run. A thread-safe function
 /// of its arguments (DeviceModel and the platform tables are
-/// read-only), so the study service shards batches of cells across the
-/// work-stealing executor once the schedules are in hand. Does NOT
+/// read-only), so callers holding schedules recorded elsewhere
+/// (hostbench, ablation_layout) can price cells directly. Does NOT
 /// consult the SupportMatrix - the caller gates on it.
 [[nodiscard]] ExperimentResult aggregate_cell(
     std::span<const hw::LoopProfile> profiles, AppId app, PlatformId platform,
@@ -85,8 +85,8 @@ class StudyRunner {
     return schedule(app, v);
   }
 
-  /// Number of distinct schedule classes built so far (the service
-  /// counts cold builds per admission round with this).
+  /// Number of distinct schedule classes built so far (hostbench
+  /// reports cold builds with this).
   [[nodiscard]] std::size_t schedule_count() const {
     return schedules_.size();
   }

@@ -115,17 +115,6 @@ double Scheduler::now() const noexcept {
 
 bool Scheduler::on_worker() noexcept { return t_current_command != nullptr; }
 
-bool Scheduler::concurrency_available() noexcept {
-  // Read the override on every call (not cached): tests flip it between
-  // cases to exercise both overlap strategies in one process.
-  if (const auto v = syclport::rt::env::get("SYCLPORT_OVERLAP")) {
-    if (*v == "queue") return true;
-    if (*v == "inline") return false;
-    syclport::rt::env::warn_invalid("SYCLPORT_OVERLAP", *v, "queue|inline");
-  }
-  return std::thread::hardware_concurrency() > 1;
-}
-
 void Scheduler::start_workers_locked() {
   // Touch the singletons commands use while running *before* the first
   // worker exists: function-local statics are destroyed in reverse

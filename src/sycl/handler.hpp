@@ -452,9 +452,8 @@ class handler {
   }
 
   /// Footprint declaration for raw (USM / wrapped host) memory, which
-  /// has no accessor to speak for it. The DSL overlap paths use this to
-  /// declare per-dat footprints so commands from different minimpi
-  /// ranks stay independent.
+  /// has no accessor to speak for it (SYCL 2020 has no such overload;
+  /// it stands in for the USM dependency tracking a real runtime does).
   void require(const void* ptr, access_mode mode) {
     register_access(ptr, mode);
   }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -73,8 +74,8 @@ TEST(Autotune, ConfigToStringParseRoundTrip) {
   c.schedule = rt::Schedule::Steal;
   c.grain = 4096;
   c.local = {{1, 4, 64}};
-  c.overlap_queue = true;
   c.tile = 32;
+  c.first_touch = true;
   const auto back = at::Config::parse(c.to_string());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, c);
@@ -139,7 +140,7 @@ TEST(Autotune, CacheRoundTripAndMalformedEntries) {
   a.grain = 1024;
   at::Config b;
   b.local = {{1, 8, 32}};
-  b.overlap_queue = false;
+  b.fuse = false;
   data.entries = {{"k1|1|65536x1x1|flat|fp16|ax1", a, ""},
                   {"k2|2|512x512x1|nd|fp18|ax3", b, "cores=64;llc=1"}};
   ASSERT_TRUE(at::write_cache(path, data));
@@ -609,7 +610,6 @@ TEST(Autotune, CandidatesStayOnTheDeclaredAxes) {
     EXPECT_TRUE(seeded) << "grain " << g;
     EXPECT_LE(g * 2, site.total()) << "grain " << g << " cannot split";
     EXPECT_FALSE(d.config.local.has_value());
-    EXPECT_FALSE(d.config.overlap_queue.has_value());
     EXPECT_FALSE(d.config.tile.has_value());
     EXPECT_FALSE(d.config.first_touch.has_value());
     EXPECT_FALSE(d.config.fuse.has_value());
@@ -625,13 +625,63 @@ TEST(Autotune, CandidatesStayOnTheDeclaredAxes) {
 }
 
 TEST(Autotune, RetiredVariantTokensNoLongerParse) {
-  // The kernel-variant and cache-block axes are gone: their tokens are
-  // as unknown as any other, alone or next to valid ones.
+  // The kernel-variant, cache-block and dist overlap axes are gone:
+  // their tokens are as unknown as any other, alone or next to valid
+  // ones, so a cached winner carrying one is dropped and retuned.
   for (const char* s :
        {"reg_tile=2", "vec=4", "unroll=2", "cache_block=128",
+        "overlap=queue", "overlap=inline",
         "schedule=static grain=1024 reg_tile=2",
-        "schedule=static grain=1024 cache_block=512"})
+        "schedule=static grain=1024 cache_block=512",
+        "schedule=static grain=1024 overlap=queue"})
     EXPECT_FALSE(at::Config::parse(s).has_value()) << s;
   // The surviving prefix still parses.
   EXPECT_TRUE(at::Config::parse("schedule=static grain=1024").has_value());
+}
+
+TEST(Autotune, CacheSurvivesManyConcurrentWriters) {
+  // Unique temp + rename + merge-on-load: every published image must be
+  // complete and internally consistent, whatever the interleaving of
+  // writers sharing one cache path.
+  const std::string path = "test_autotune_cache_stress.json";
+  constexpr std::size_t kWriters = 16;
+  constexpr std::size_t kRoundsPerWriter = 20;
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (std::size_t round = 0; round < kRoundsPerWriter; ++round) {
+        at::CacheData data;
+        data.fingerprint = "stress-machine";
+        at::CacheData::Entry e;
+        e.key = "kernel_" + std::to_string(w);
+        e.config.grain = round + 1;
+        data.entries.push_back(e);
+        EXPECT_TRUE(at::write_cache_merged(path, data));
+      }
+    });
+  for (auto& th : writers) th.join();
+
+  const auto final_image = at::read_cache(path);
+  ASSERT_TRUE(final_image.has_value()) << "torn or corrupt cache image";
+  EXPECT_EQ(final_image->fingerprint, "stress-machine");
+  std::set<std::string> keys;
+  for (const auto& e : final_image->entries) {
+    EXPECT_EQ(e.key.rfind("kernel_", 0), 0u);
+    keys.insert(e.key);
+  }
+  EXPECT_EQ(keys.size(), final_image->entries.size()) << "duplicate keys";
+  // The last writer to publish merged the file it saw, so its own key
+  // is certainly present.
+  EXPECT_GE(keys.size(), 1u);
+
+  // One more merged write must preserve whatever survived the stress
+  // *and* its own entry.
+  at::CacheData data;
+  data.fingerprint = "stress-machine";
+  data.entries.push_back({"kernel_final", at::Config{}, ""});
+  EXPECT_TRUE(at::write_cache_merged(path, data));
+  const auto merged = at::read_cache(path);
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(merged->entries.size(), keys.size() + 1);
+  std::remove(path.c_str());
 }

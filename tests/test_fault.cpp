@@ -91,6 +91,10 @@ TEST(FaultPlan, RejectsMalformedSpecsAndStaysDisarmed) {
   EXPECT_FALSE(fault::configure("no-colon"));
   EXPECT_FALSE(fault::configure("5:"));
   EXPECT_FALSE(fault::configure("5:bogus.site=@1"));
+  // The retired study-service site is as unknown as any other, by name
+  // and by group wildcard.
+  EXPECT_FALSE(fault::configure("5:svc.fail=@1"));
+  EXPECT_FALSE(fault::configure("5:svc.*=0.5"));
   EXPECT_FALSE(fault::configure("5:mem.alloc=1.5"));   // prob > 1
   EXPECT_FALSE(fault::configure("5:mem.alloc=@0"));    // nth must be >= 1
   EXPECT_FALSE(fault::configure("5:mem.alloc=@2x0"));  // cap must be >= 1
@@ -162,6 +166,7 @@ TEST(FaultPlan, SiteNamesRoundTrip) {
     EXPECT_EQ(*back, site);
   }
   EXPECT_FALSE(fault::site_from_string("not.a.site").has_value());
+  EXPECT_FALSE(fault::site_from_string("svc.fail").has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -181,112 +181,3 @@ TEST(DistOp2, SingleRankDegeneratesToSharedMemory) {
     EXPECT_EQ(dm.edges().size(), mesh.fine_edges());
   });
 }
-
-// ---------------------------------------------------------------------
-// Halo/compute overlap for unstructured meshes: interior edges sweep as
-// an asynchronous queue command while the halo import drains.
-
-TEST(DistOp2, InteriorBoundaryEdgesPartitionOwnedEdges) {
-  auto mesh = syclport::apps::mgcfd::build_rotor_mesh(14, 12, 8, 1);
-  mpi::run(4, [&](mpi::Comm& comm) {
-    dist::DistMesh dm(comm, *mesh.levels[0].e2n, mesh.levels[0].coords);
-    const auto& in = dm.interior_edges();
-    const auto& bd = dm.boundary_edges();
-    EXPECT_EQ(in.size() + bd.size(), dm.edges().size());
-    std::vector<char> seen(dm.edges().size(), 0);
-    for (int e : in) seen[static_cast<std::size_t>(e)]++;
-    for (int e : bd) seen[static_cast<std::size_t>(e)]++;
-    for (char c : seen) EXPECT_EQ(c, 1);  // disjoint and complete
-    // Interior edges reference owned nodes only; boundary edges touch
-    // at least one halo slot.
-    const auto owned = static_cast<int>(dm.n_owned_nodes());
-    for (int e : in)
-      for (int i = 0; i < dm.e2n().arity(); ++i)
-        EXPECT_LT(dm.e2n().at(static_cast<std::size_t>(e), i), owned);
-    for (int e : bd) {
-      bool halo = false;
-      for (int i = 0; i < dm.e2n().arity(); ++i)
-        halo |= dm.e2n().at(static_cast<std::size_t>(e), i) >= owned;
-      EXPECT_TRUE(halo);
-    }
-  });
-}
-
-TEST(DistOp2, OverlapScatterMatchesSharedMemory) {
-  auto mesh = syclport::apps::mgcfd::build_rotor_mesh(12, 10, 8, 1);
-  const auto ref = shared_scatter(*mesh.levels[0].e2n, 3);
-
-  for (const char* mode : {"queue", "inline"}) {
-  ::setenv("SYCLPORT_OVERLAP", mode, 1);
-  for (int nranks : {1, 2, 4}) {
-    double max_err = 1.0;
-    std::mutex mu;
-    mpi::run(nranks, [&](mpi::Comm& comm) {
-      dist::DistMesh dm(comm, *mesh.levels[0].e2n, mesh.levels[0].coords);
-      dist::DistNodeDat<double> v(dm, 1, "v");
-      dist::DistNodeDat<double> d(dm, 1, "d");
-      dist::DistEdgeDat<double> w(dm, 1, "w");
-      v.init_owned(node_value);
-      w.init(edge_weight);
-
-      op2::Options oo;
-      oo.exec = op2::Exec::Serial;
-      oo.strategy = Strategy::Atomics;
-      oo.record = false;
-      op2::Context ctx(oo);
-
-      for (int r = 0; r < 3; ++r) {
-        // Interior edges sweep while the halo import is in flight.
-        dist::par_loop_overlap(
-            ctx, {"flux"}, dm, v,
-            [](const double* ww, const double* va, const double* vb,
-               op2::Inc<double> da, op2::Inc<double> db) {
-              const double f = ww[0] * (vb[0] - va[0]);
-              da.add(0, f);
-              db.add(0, -f);
-            },
-            op2::arg_direct(w.dat(), op2::Acc::R),
-            op2::arg_indirect(v.dat(), dm.e2n(), 0, op2::Acc::R),
-            op2::arg_indirect(v.dat(), dm.e2n(), 1, op2::Acc::R),
-            op2::arg_inc(d.dat(), dm.e2n(), 0),
-            op2::arg_inc(d.dat(), dm.e2n(), 1));
-        d.export_add();
-        for (std::size_t i = 0; i < dm.n_owned_nodes(); ++i) {
-          v.dat().at(i) += 0.1 * d.dat().at(i);
-          d.dat().at(i) = 0.0;
-        }
-      }
-      double err = 0.0;
-      for (std::size_t i = 0; i < dm.n_owned_nodes(); ++i)
-        err = std::max(err,
-                       std::fabs(v.dat().at(i) -
-                                 ref[static_cast<std::size_t>(
-                                     dm.owned_node_gid()[i])]));
-      const double gerr = comm.allreduce(err, mpi::Op::Max);
-      std::lock_guard lock(mu);
-      max_err = gerr;
-    });
-    EXPECT_NEAR(max_err, 0.0, 1e-12) << nranks << " ranks, " << mode;
-  }
-  }
-  ::unsetenv("SYCLPORT_OVERLAP");
-}
-
-TEST(DistOp2, SubsetLoopRejectsOversizedList) {
-  auto mesh = syclport::apps::mgcfd::build_rotor_mesh(8, 8, 6, 1);
-  mpi::run(1, [&](mpi::Comm& comm) {
-    dist::DistMesh dm(comm, *mesh.levels[0].e2n, mesh.levels[0].coords);
-    dist::DistNodeDat<double> d(dm, 1, "d");
-    op2::Options oo;
-    oo.exec = op2::Exec::Serial;
-    oo.record = false;
-    op2::Context ctx(oo);
-    std::vector<int> too_many(dm.edges().size() + 1, 0);
-    EXPECT_THROW(
-        op2::par_loop_subset(ctx, {"x"}, dm.edges(),
-                             std::span<const int>(too_many),
-                             [](op2::Inc<double> a) { a.add(0, 1.0); },
-                             op2::arg_inc(d.dat(), dm.e2n(), 0)),
-        std::invalid_argument);
-  });
-}

@@ -207,204 +207,3 @@ TEST(DistOps, LoopWithoutDatRejected) {
                  std::invalid_argument);
   });
 }
-
-// ---------------------------------------------------------------------
-// Halo/compute overlap (dist::par_loop_overlap): interior sweeps run as
-// asynchronous queue commands while the halo receives drain; results
-// must match the blocking path point-for-point.
-
-namespace {
-
-/// Pin the overlap strategy (queue handoff vs inline ordering) for the
-/// duration of a test body, so both paths are covered regardless of the
-/// host's core count.
-struct ScopedOverlapMode {
-  explicit ScopedOverlapMode(const char* mode) {
-    ::setenv("SYCLPORT_OVERLAP", mode, 1);
-  }
-  ~ScopedOverlapMode() { ::unsetenv("SYCLPORT_OVERLAP"); }
-};
-
-constexpr const char* kOverlapModes[] = {"queue", "inline"};
-
-double dist_jacobi_2d_overlap(std::size_t n, int iters, int nranks) {
-  double result = 0.0;
-  std::mutex mu;
-  mpi::run(nranks, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 2);
-    dist::DistDat<double> a(ctx, {n, n, 1}, 1), b(ctx, {n, n, 1}, 1);
-    a.init([](std::size_t i, std::size_t j, std::size_t k) {
-      return init_value(i, j, k);
-    });
-    for (int it = 0; it < iters; ++it) {
-      dist::par_loop_overlap(
-          ctx,
-          [](ops::ACC<double> out, ops::ACC<double> in) {
-            out(0, 0) =
-                0.25 * (in(1, 0) + in(-1, 0) + in(0, 1) + in(0, -1));
-          },
-          dist::arg(b, ops::S_PT, ops::Acc::W),
-          dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-      std::swap(a.field().data, b.field().data);
-    }
-    const double sum = a.global_sum();
-    std::lock_guard lock(mu);
-    result = sum;
-  });
-  return result;
-}
-
-}  // namespace
-
-TEST(DistOpsOverlap, MatchesBlockingJacobi2D) {
-  const double ref = shared_jacobi_2d(24, 8);
-  for (const char* mode : kOverlapModes) {
-    ScopedOverlapMode scoped(mode);
-    for (int nranks : {1, 2, 4, 6}) {
-      EXPECT_NEAR(dist_jacobi_2d_overlap(24, 8, nranks), ref, 1e-11)
-          << nranks << " ranks, " << mode;
-    }
-  }
-}
-
-TEST(DistOpsOverlap, AwkwardGridSizes) {
-  const double ref = shared_jacobi_2d(23, 5);
-  for (const char* mode : kOverlapModes) {
-    ScopedOverlapMode scoped(mode);
-    EXPECT_NEAR(dist_jacobi_2d_overlap(23, 5, 4), ref, 1e-11) << mode;
-    EXPECT_NEAR(dist_jacobi_2d_overlap(23, 5, 5), ref, 1e-11) << mode;
-  }
-}
-
-TEST(DistOpsOverlap, PointForPointIdenticalToBlocking) {
-  // Not just the sum: every owned point must match the blocking sweep
-  // bit-for-bit (same inputs per point, no reduction reordering).
-  const std::size_t n = 20;
-  for (const char* mode : kOverlapModes) {
-  ScopedOverlapMode scoped(mode);
-  double max_err = 1.0;
-  std::mutex mu;
-  mpi::run(4, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 2);
-    dist::DistDat<double> a(ctx, {n, n, 1}, 1);
-    dist::DistDat<double> blocking(ctx, {n, n, 1}, 1);
-    dist::DistDat<double> overlapped(ctx, {n, n, 1}, 1);
-    a.init(init_value);
-    auto kernel = [](ops::ACC<double> out, ops::ACC<double> in) {
-      out(0, 0) = in(1, 0) + 2.0 * in(-1, 0) + 3.0 * in(0, 1) +
-                  4.0 * in(0, -1) + 5.0 * in(0, 0);
-    };
-    dist::par_loop(ctx, kernel,
-                   dist::arg(blocking, ops::S_PT, ops::Acc::W),
-                   dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-    dist::par_loop_overlap(ctx, kernel,
-                           dist::arg(overlapped, ops::S_PT, ops::Acc::W),
-                           dist::arg(a, ops::S2D_5PT, ops::Acc::R));
-    double err = 0.0;
-    blocking.for_owned([&](std::size_t, std::size_t, std::size_t,
-                           std::ptrdiff_t li, std::ptrdiff_t lj,
-                           std::ptrdiff_t lk) {
-      err = std::max(err, std::fabs(blocking.field().at(li, lj, lk) -
-                                    overlapped.field().at(li, lj, lk)));
-    });
-    const double gerr = comm.allreduce(err, mpi::Op::Max);
-    std::lock_guard lock(mu);
-    max_err = gerr;
-  });
-  EXPECT_EQ(max_err, 0.0) << mode;
-  }
-}
-
-TEST(DistOpsOverlap, ThreeDimensionalStencil) {
-  const std::size_t n = 10;
-  ops::Context sctx{ops::Options{}};
-  ops::Block grid(sctx, "g", 3, {n, n, n});
-  ops::Dat<double> sa(grid, "a", 1, 1), sb(grid, "b", 1, 1);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        sa.at(static_cast<long>(i), static_cast<long>(j),
-              static_cast<long>(k)) = init_value(i, j, k);
-  ops::par_loop(sctx, {"avg"}, grid, ops::Range::all(grid),
-                [](ops::ACC<double> out, ops::ACC<double> in) {
-                  out(0, 0, 0) = in(1, 0, 0) + in(-1, 0, 0) + in(0, 1, 0) +
-                                 in(0, -1, 0) + in(0, 0, 1) + in(0, 0, -1);
-                },
-                ops::arg(sb, ops::S_PT, ops::Acc::W),
-                ops::arg(sa, ops::S3D_7PT, ops::Acc::R));
-  const double ref = sb.interior_sum();
-
-  for (const char* mode : kOverlapModes) {
-  ScopedOverlapMode scoped(mode);
-  double got = 0.0;
-  std::mutex mu;
-  mpi::run(8, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 3);
-    dist::DistDat<double> a(ctx, {n, n, n}, 1), b(ctx, {n, n, n}, 1);
-    a.init(init_value);
-    dist::par_loop_overlap(
-        ctx,
-        [](ops::ACC<double> out, ops::ACC<double> in) {
-          out(0, 0, 0) = in(1, 0, 0) + in(-1, 0, 0) + in(0, 1, 0) +
-                         in(0, -1, 0) + in(0, 0, 1) + in(0, 0, -1);
-        },
-        dist::arg(b, ops::S_PT, ops::Acc::W),
-        dist::arg(a, ops::S3D_7PT, ops::Acc::R));
-    const double sum = b.global_sum();
-    std::lock_guard lock(mu);
-    got = sum;
-  });
-  EXPECT_NEAR(got, ref, 1e-11) << mode;
-  }
-}
-
-TEST(DistOpsOverlap, ReductionRidesAlong) {
-  const std::size_t n = 16;
-  for (const char* mode : kOverlapModes) {
-  ScopedOverlapMode scoped(mode);
-  double sum = 0.0;
-  std::mutex mu;
-  mpi::run(4, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 2);
-    dist::DistDat<double> a(ctx, {n, n, 1}, 1), b(ctx, {n, n, 1}, 1);
-    a.init([](std::size_t i, std::size_t j, std::size_t) {
-      return static_cast<double>(i) - 0.5 * static_cast<double>(j);
-    });
-    double s = 0.0;
-    dist::par_loop_overlap(
-        ctx,
-        [](ops::ACC<double> out, ops::ACC<double> in,
-           ops::Reducer<double> rs) {
-          out(0, 0) = 0.5 * (in(1, 0) + in(-1, 0));
-          rs += out(0, 0);
-        },
-        dist::arg(b, ops::S_PT, ops::Acc::W),
-        dist::arg(a, ops::S2D_5PT, ops::Acc::R),
-        dist::reduce(s, ops::RedOp::Sum));
-    std::lock_guard lock(mu);
-    sum = s;
-  });
-  // Blocking reference on a single rank.
-  double ref = 0.0;
-  mpi::run(1, [&](mpi::Comm& comm) {
-    dist::DistContext ctx(comm, 2);
-    dist::DistDat<double> a(ctx, {n, n, 1}, 1), b(ctx, {n, n, 1}, 1);
-    a.init([](std::size_t i, std::size_t j, std::size_t) {
-      return static_cast<double>(i) - 0.5 * static_cast<double>(j);
-    });
-    double s = 0.0;
-    dist::par_loop(ctx,
-                   [](ops::ACC<double> out, ops::ACC<double> in,
-                      ops::Reducer<double> rs) {
-                     out(0, 0) = 0.5 * (in(1, 0) + in(-1, 0));
-                     rs += out(0, 0);
-                   },
-                   dist::arg(b, ops::S_PT, ops::Acc::W),
-                   dist::arg(a, ops::S2D_5PT, ops::Acc::R),
-                   dist::reduce(s, ops::RedOp::Sum));
-    std::lock_guard lock(mu);
-    ref = s;
-  });
-  EXPECT_NEAR(sum, ref, 1e-10) << mode;
-  }
-}

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Build the concurrency-sensitive test binaries with ThreadSanitizer
-# and run the scheduler / queue / halo-overlap test subset under it.
+# and run the scheduler / queue / halo-exchange test subset under it.
 #
 # The subset is defined by the `tsan` test preset in CMakePresets.json:
 # it covers the out-of-order queue scheduler, the thread pool, the
 # thread-safe launch log, minimpi halo exchange and the distributed
-# overlap layers, and excludes fiber-based nd_range tests (TSan cannot
+# OPS/OP2 layers, and excludes fiber-based nd_range tests (TSan cannot
 # track swapcontext; those run under the `asan` preset instead - see
 # docs/executor.md).
 #

@@ -1,7 +1,6 @@
 #include "sycl/detail/scheduler.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 #include "runtime/env.hpp"
 #include "runtime/fault/fault.hpp"

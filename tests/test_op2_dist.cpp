@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <vector>
 

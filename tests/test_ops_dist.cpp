@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 
 #include "ops/dist.hpp"

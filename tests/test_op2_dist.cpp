@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -178,4 +179,92 @@ TEST(DistOp2, SingleRankDegeneratesToSharedMemory) {
     EXPECT_EQ(dm.n_halo_nodes(), 0u);
     EXPECT_EQ(dm.edges().size(), mesh.fine_edges());
   });
+}
+
+TEST(DistOp2, LocalEdgesMapBackToGlobalEdges) {
+  // Every global edge is owned by exactly one rank, and the localized
+  // map of an owned edge names the same two global nodes as the
+  // global map, whether an endpoint is owned or a halo slot.
+  auto mesh = syclport::apps::mgcfd::build_rotor_mesh(14, 12, 8, 1);
+  const op2::Map& ge2n = *mesh.levels[0].e2n;
+  std::vector<int> owners(mesh.fine_edges(), 0);
+  std::mutex mu;
+  mpi::run(4, [&](mpi::Comm& comm) {
+    dist::DistMesh dm(comm, ge2n, mesh.levels[0].coords);
+    const auto owned = dm.n_owned_nodes();
+    auto gid = [&](int li) {
+      const auto l = static_cast<std::size_t>(li);
+      return l < owned ? dm.owned_node_gid()[l]
+                       : dm.halo_node_gid()[l - owned];
+    };
+    ASSERT_EQ(dm.owned_edge_gid().size(), dm.edges().size());
+    int bad = 0;
+    for (std::size_t e = 0; e < dm.edges().size(); ++e) {
+      const auto g = static_cast<std::size_t>(dm.owned_edge_gid()[e]);
+      for (int i = 0; i < ge2n.arity(); ++i)
+        bad += gid(dm.e2n().at(e, i)) != ge2n.at(g, i);
+    }
+    EXPECT_EQ(bad, 0) << "rank " << comm.rank();
+    std::lock_guard lock(mu);
+    for (int g : dm.owned_edge_gid()) owners[static_cast<std::size_t>(g)]++;
+  });
+  for (int c : owners) EXPECT_EQ(c, 1);
+}
+
+TEST(DistOp2, ScatterLoopMatchesSharedMemoryUnderColouring) {
+  // The rank-local edge set is planned like any other: colouring the
+  // localized map (halo slots included) must give the atomics answer.
+  auto mesh = syclport::apps::mgcfd::build_rotor_mesh(12, 10, 8, 1);
+  const auto ref = shared_scatter(*mesh.levels[0].e2n, 2);
+
+  for (Strategy s : {Strategy::GlobalColor, Strategy::Hierarchical}) {
+    double max_err = 1.0;
+    std::mutex mu;
+    mpi::run(3, [&](mpi::Comm& comm) {
+      dist::DistMesh dm(comm, *mesh.levels[0].e2n, mesh.levels[0].coords);
+      dist::DistNodeDat<double> v(dm, 1, "v");
+      dist::DistNodeDat<double> d(dm, 1, "d");
+      dist::DistEdgeDat<double> w(dm, 1, "w");
+      v.init_owned(node_value);
+      w.init(edge_weight);
+
+      op2::Options oo;
+      oo.exec = op2::Exec::Serial;
+      oo.strategy = s;
+      oo.record = false;
+      op2::Context ctx(oo);
+
+      for (int r = 0; r < 2; ++r) {
+        v.import_halo();
+        op2::par_loop(ctx, {"flux"}, dm.edges(),
+                      [](const double* ww, const double* va,
+                         const double* vb, op2::Inc<double> da,
+                         op2::Inc<double> db) {
+                        const double f = ww[0] * (vb[0] - va[0]);
+                        da.add(0, f);
+                        db.add(0, -f);
+                      },
+                      op2::arg_direct(w.dat(), op2::Acc::R),
+                      op2::arg_indirect(v.dat(), dm.e2n(), 0, op2::Acc::R),
+                      op2::arg_indirect(v.dat(), dm.e2n(), 1, op2::Acc::R),
+                      op2::arg_inc(d.dat(), dm.e2n(), 0),
+                      op2::arg_inc(d.dat(), dm.e2n(), 1));
+        d.export_add();
+        for (std::size_t i = 0; i < dm.n_owned_nodes(); ++i) {
+          v.dat().at(i) += 0.1 * d.dat().at(i);
+          d.dat().at(i) = 0.0;
+        }
+      }
+      double err = 0.0;
+      for (std::size_t i = 0; i < dm.n_owned_nodes(); ++i)
+        err = std::max(err,
+                       std::fabs(v.dat().at(i) -
+                                 ref[static_cast<std::size_t>(
+                                     dm.owned_node_gid()[i])]));
+      const double gerr = comm.allreduce(err, mpi::Op::Max);
+      std::lock_guard lock(mu);
+      max_err = gerr;
+    });
+    EXPECT_NEAR(max_err, 0.0, 1e-12) << syclport::to_string(s);
+  }
 }

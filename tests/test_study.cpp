@@ -247,6 +247,56 @@ TEST(Study, BoundaryShare3DExceeds2DOnGpus) {
   }
 }
 
+TEST(Study, AggregateCellMatchesRunner) {
+  // aggregate_cell is the pure tail of StudyRunner::run: pricing a
+  // cached schedule directly must give the runner's cell exactly,
+  // including the halo term of MPI variants and MG-CFD strategies.
+  struct Cell {
+    AppId app;
+    PlatformId platform;
+    Variant v;
+  };
+  const Cell cells[] = {
+      {AppId::RTM, PlatformId::A100, kCuda},
+      {AppId::CloverLeaf2D, PlatformId::GenoaX, kMpi},
+      {AppId::CloverLeaf3D, PlatformId::Xeon8360Y, kMpiOmp},
+      {AppId::MGCFD, PlatformId::Max1100,
+       {Model::SYCLNDRange, Toolchain::DPCPP, Strategy::Hierarchical}},
+  };
+  for (const Cell& c : cells) {
+    const auto r = runner().run(c.app, c.platform, c.v);
+    ASSERT_TRUE(r.ok()) << to_string(c.v);
+    const auto a = study::aggregate_cell(runner().schedule_for(c.app, c.v),
+                                         c.app, c.platform, c.v);
+    EXPECT_EQ(a.runtime_s, r.runtime_s) << to_string(c.v);
+    EXPECT_EQ(a.boundary_s, r.boundary_s) << to_string(c.v);
+    EXPECT_EQ(a.halo_s, r.halo_s) << to_string(c.v);
+    EXPECT_EQ(a.useful_bytes, r.useful_bytes) << to_string(c.v);
+    EXPECT_EQ(a.eff_bw_gbs, r.eff_bw_gbs) << to_string(c.v);
+  }
+}
+
+TEST(Study, ScheduleCountTracksScheduleClasses) {
+  // Structured schedules are shared by every non-MPI variant and by
+  // every MPI variant of an app; unsupported cells build nothing.
+  study::StudyRunner s;
+  s.set_structured_size(AppId::CloverLeaf2D, {{64, 64, 1}, 2});
+  EXPECT_EQ(s.schedule_count(), 0u);
+  (void)s.run(AppId::CloverLeaf2D, PlatformId::A100, kCuda);
+  EXPECT_EQ(s.schedule_count(), 1u);
+  (void)s.run(AppId::CloverLeaf2D, PlatformId::MI250X, kHip);
+  (void)s.run(AppId::CloverLeaf2D, PlatformId::A100, kDpcppNd);
+  EXPECT_EQ(s.schedule_count(), 1u);
+  (void)s.run(AppId::CloverLeaf2D, PlatformId::GenoaX, kOsyclNd);
+  EXPECT_EQ(s.schedule_count(), 1u);  // Status::Incorrect: no schedule
+  (void)s.run(AppId::CloverLeaf2D, PlatformId::Xeon8360Y, kMpi);
+  (void)s.run(AppId::CloverLeaf2D, PlatformId::GenoaX, kMpiOmp);
+  EXPECT_EQ(s.schedule_count(), 2u);
+  // Resizing an app invalidates every cached schedule.
+  s.set_structured_size(AppId::CloverLeaf2D, {{48, 48, 1}, 2});
+  EXPECT_EQ(s.schedule_count(), 0u);
+}
+
 TEST(Trace, WritesValidJsonWithModeledBreakdown) {
   auto& r = runner();
   const Variant v{Model::CUDA, Toolchain::Native};

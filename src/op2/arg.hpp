@@ -3,8 +3,9 @@
 /// OP2 par_loop arguments and kernel-side views:
 ///  - arg_direct(dat, acc): the element's own values, as (const) T*;
 ///  - arg_indirect(dat, map, idx, acc): values of the idx-th mapped
-///    element; INC access hands the kernel an Inc<T> proxy whose
-///    addition is atomic or plain depending on the active strategy;
+///    element;
+///  - arg_inc(dat, map, idx) (par_loop.hpp): an Inc<T> proxy that adds
+///    into the idx-th mapped element;
 ///  - arg_gbl(target, op): global reduction, as Reducer<T> - a plain
 ///    accumulator into the current block's slot, folded in block order
 ///    when the sweep completes (core/reducer.hpp).
@@ -55,24 +56,20 @@ template <typename T>
   return {&target, op};
 }
 
-/// Kernel-side view of an INC argument: accumulates into the mapped
-/// element's components, atomically when the strategy requires it.
+/// Kernel-side view of an INC argument: plain adds into the mapped
+/// element's components (or into scratch). The lowering keeps them
+/// race-free (par_loop.hpp): colouring never runs two elements that
+/// share a target at once, owner-computes and the staged scatter give
+/// each target to one thread.
 template <typename T>
 class Inc {
  public:
-  Inc(T* p, bool atomic) : p_(p), atomic_(atomic) {}
+  explicit Inc(T* p) : p_(p) {}
 
-  void add(int c, T v) const {
-    if (atomic_) {
-      std::atomic_ref<T>(p_[c]).fetch_add(v, std::memory_order_relaxed);
-    } else {
-      p_[c] += v;
-    }
-  }
+  void add(int c, T v) const { p_[c] += v; }
 
  private:
   T* p_;
-  bool atomic_;
 };
 
 }  // namespace syclport::op2

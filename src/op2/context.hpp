@@ -3,6 +3,7 @@
 /// OP2 execution context: race-resolution strategy, execution backend,
 /// plan cache, and the recorded loop profiles.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "op2/locality.hpp"
 #include "op2/plan.hpp"
 #include "runtime/env.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sycl/sycl.hpp"
 
 namespace syclport::op2 {
@@ -80,23 +82,39 @@ class Context {
   [[nodiscard]] bool executing() const { return opt.mode == Mode::Execute; }
 
   /// Plan for resolving conflicts through `map` under `strategy`
-  /// (default: the context's); built once and cached. Staged shares the
-  /// Atomics plan - both execute elements in identity order, staging
-  /// resolves the races in scratch rather than by colouring.
+  /// (default: the context's); built once and cached. Staged and None
+  /// share the Atomics plan - all three execute elements in identity
+  /// order; staging resolves the races in scratch, the others by owner
+  /// ranges (owners_for), rather than by colouring. Plans are cached by
+  /// the map's address, so a map must not be edited once this Context
+  /// has run a loop over it: its stale colours or owner lists would
+  /// race or drop increments. Renumber before, as run_mgcfd does.
   [[nodiscard]] const Plan& plan_for(const Map& map) {
     return plan_for(map, opt.strategy);
   }
   [[nodiscard]] const Plan& plan_for(const Map& map, Strategy strategy) {
-    if (strategy == Strategy::Staged) strategy = Strategy::Atomics;
-    const auto key = std::make_tuple(static_cast<const void*>(&map),
-                                     strategy, opt.block_size);
-    auto it = plans_.find(key);
-    if (it == plans_.end())
-      it = plans_
-               .emplace(key, std::make_unique<Plan>(build_plan(
-                                 map, strategy, opt.block_size)))
-               .first;
-    return *it->second;
+    return plan_slot(map, strategy);
+  }
+
+  /// Contiguous ranges a conflict loop splits `ntargets` targets into,
+  /// for owner-computes and for the staged scatter: one per pool worker
+  /// (at most one per target), one on Exec::Serial.
+  [[nodiscard]] std::size_t target_ranges(std::size_t ntargets) const {
+    if (opt.exec == Exec::Serial) return 1;
+    return std::max<std::size_t>(
+        1, std::min<std::size_t>(rt::ThreadPool::global().size(), ntargets));
+  }
+
+  /// The owner-computes partition of `map`'s targets into `ranges`
+  /// ranges (op2/par_loop.hpp), held by the map's Atomics plan: taken
+  /// once per Context from the process-wide ownership memo, which
+  /// builds it on the first miss for the map's content.
+  [[nodiscard]] const Ownership& owners_for(const Map& map,
+                                            std::size_t ranges) {
+    Plan& plan = plan_slot(map, Strategy::Atomics);
+    if (plan.owners == nullptr || plan.owners->ranges() != ranges)
+      plan.owners = memoized_ownership(map, digest_of(map), ranges);
+    return *plan.owners;
   }
 
   /// Gather-locality statistics for accessing (dim x elem_bytes) data
@@ -118,9 +136,7 @@ class Context {
                                      elem_bytes, layout);
     auto it = gathers_.find(key);
     if (it == gathers_.end()) {
-      auto [digest, fresh] = digests_.try_emplace(&map);
-      if (fresh) digest->second = map_digest(map);
-      const GatherKey memo_key{.map_digest = digest->second,
+      const GatherKey memo_key{.map_digest = digest_of(map),
                                .from_size = map.from().size(),
                                .to_size = map.to().size(),
                                .arity = map.arity(),
@@ -143,6 +159,27 @@ class Context {
   }
 
  private:
+  [[nodiscard]] Plan& plan_slot(const Map& map, Strategy strategy) {
+    if (strategy == Strategy::Staged || strategy == Strategy::None)
+      strategy = Strategy::Atomics;
+    const auto key = std::make_tuple(static_cast<const void*>(&map),
+                                     strategy, opt.block_size);
+    auto it = plans_.find(key);
+    if (it == plans_.end())
+      it = plans_
+               .emplace(key, std::make_unique<Plan>(build_plan(
+                                 map, strategy, opt.block_size)))
+               .first;
+    return *it->second;
+  }
+
+  /// map_digest of `map`, taken on its first use here.
+  [[nodiscard]] std::uint64_t digest_of(const Map& map) {
+    auto [it, fresh] = digests_.try_emplace(&map);
+    if (fresh) it->second = map_digest(map);
+    return it->second;
+  }
+
   std::map<std::tuple<const void*, Strategy, std::size_t>,
            std::unique_ptr<Plan>>
       plans_;
@@ -150,7 +187,7 @@ class Context {
                       Layout>,
            GatherStats>
       gathers_;
-  /// map_digest of each map, taken on its first gather miss here.
+  /// map_digest of each map, taken on its first use here.
   std::map<const Map*, std::uint64_t> digests_;
 };
 

@@ -174,7 +174,7 @@ class LoopChain {
       detail::open_sweeps(binders, blocks);
     }
     void invoke(std::size_t e, std::size_t blk) const override {
-      std::apply([&](const auto&... b) { kernel(b.make(e, false, blk)...); },
+      std::apply([&](const auto&... b) { kernel(b.make(e, blk)...); },
                  binders);
     }
     void close() const override { detail::close_sweeps(binders); }

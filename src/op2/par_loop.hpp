@@ -4,7 +4,16 @@
 /// names a kernel over a set with direct, indirect, increment and
 /// global arguments. Indirect increments race between elements sharing
 /// a mapped target; the context's Strategy resolves them (paper §3):
-///   - Atomics: one sweep, atomic adds;
+///   - Atomics (and None): priced as one sweep of atomic adds, executed
+///     on the host owner-computes: the targets split into one range per
+///     worker, and each range's task runs, in element order, the
+///     elements mapping into it, with plain adds; increments to another
+///     range's targets go to the task's scratch sink. Every target gets
+///     its increments in element order, so the result is bit-identical
+///     to Exec::Serial at any thread count. An element mapping into two
+///     ranges runs twice, so only loops whose other arguments are all
+///     Acc::R and that reduce nothing take this path; the others run
+///     through the staged lowering (stage.hpp), also element-ordered;
 ///   - GlobalColor: one sweep per colour, plain adds;
 ///   - Hierarchical: one sweep per block colour; within a block,
 ///     intra-colour phases (separated by work-group barriers when
@@ -38,14 +47,14 @@ struct Meta {
 namespace detail {
 
 // --- kernel-side binders -----------------------------------------------------
-// make(e, atomic, blk): the view of element e, which the sweep runs in
-// reduction block blk (core/reducer.hpp; only GblBinder reads it).
+// make(e, blk): the view of element e, which the sweep runs in reduction
+// block blk (core/reducer.hpp; only GblBinder reads it).
 
 template <typename T>
 struct DirectBinder {
   T* base;
   int dim;
-  [[nodiscard]] T* make(std::size_t e, bool, std::size_t) const {
+  [[nodiscard]] T* make(std::size_t e, std::size_t) const {
     return base + e * static_cast<std::size_t>(dim);
   }
 };
@@ -56,7 +65,7 @@ struct IndirectBinder {
   int dim;
   const Map* map;
   int idx;
-  [[nodiscard]] T* make(std::size_t e, bool, std::size_t) const {
+  [[nodiscard]] T* make(std::size_t e, std::size_t) const {
     return base +
            static_cast<std::size_t>(map->at(e, idx)) *
                static_cast<std::size_t>(dim);
@@ -69,12 +78,39 @@ struct IncBinder {
   int dim;
   const Map* map;
   int idx;
-  [[nodiscard]] Inc<T> make(std::size_t e, bool atomic, std::size_t) const {
+  [[nodiscard]] Inc<T> make(std::size_t e, std::size_t) const {
     return Inc<T>(base + static_cast<std::size_t>(map->at(e, idx)) *
-                             static_cast<std::size_t>(dim),
-                  atomic);
+                             static_cast<std::size_t>(dim));
   }
 };
+
+/// An INC binder inside one owner-computes task: targets in [lo, hi)
+/// are the task's own; the increments of any other target go to the
+/// task's sink, cleared per element and never read.
+template <typename T>
+struct OwnedIncBinder {
+  IncBinder<T> inc;
+  std::size_t lo, hi;
+  std::vector<T> sink;
+  [[nodiscard]] Inc<T> make(std::size_t e, std::size_t) {
+    const auto t = static_cast<std::size_t>(inc.map->at(e, inc.idx));
+    if (t >= lo && t < hi)
+      return Inc<T>(inc.base + t * static_cast<std::size_t>(inc.dim));
+    std::fill(sink.begin(), sink.end(), T{});
+    return Inc<T>(sink.data());
+  }
+};
+
+/// The binder an owner-computes task over targets [lo, hi) uses.
+template <typename B>
+B owned(const B& b, std::size_t, std::size_t) {
+  return b;
+}
+template <typename T>
+OwnedIncBinder<T> owned(const IncBinder<T>& b, std::size_t lo,
+                        std::size_t hi) {
+  return {b, lo, hi, std::vector<T>(static_cast<std::size_t>(b.dim))};
+}
 
 /// Global reduction: one partial per block of the current sweep,
 /// folded into the target in block order when the sweep closes.
@@ -83,7 +119,7 @@ struct GblBinder {
   T* target;
   RedOp op;
   std::optional<BlockPartials<T>> partials;
-  [[nodiscard]] Reducer<T> make(std::size_t, bool, std::size_t blk) const {
+  [[nodiscard]] Reducer<T> make(std::size_t, std::size_t blk) const {
     return Reducer<T>(partials->slot(blk), op);
   }
 };
@@ -427,8 +463,17 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   }
   const bool non_aos_now = (detail::arg_non_aos(args) || ...);
   if (conflict != nullptr && non_aos_now) strat = Strategy::Staged;
-  const bool staged =
-      non_aos_now || (conflict != nullptr && strat == Strategy::Staged);
+  // Owner-computes runs an element once per owner range it maps into,
+  // so it takes only loops whose elements have no other side effect
+  // than their increments; the staged lowering runs the rest.
+  const bool owner = conflict != nullptr && (strat == Strategy::Atomics ||
+                                             strat == Strategy::None);
+  bool owner_ok = true;
+  for (const auto& i : infos)
+    owner_ok = owner_ok && !i.is_gbl && (i.acc == Acc::R || i.acc == Acc::INC);
+  const bool staged = non_aos_now ||
+                      (conflict != nullptr && strat == Strategy::Staged) ||
+                      (owner && !owner_ok);
   if (conflict != nullptr && !staged && strat != ctx_strat)
     plan = &ctx.plan_for(*conflict->map, strat);
 
@@ -469,10 +514,8 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
   log_decision();
 
   auto binders = std::make_tuple(detail::make_binder(args, true)...);
-  const bool atomic = conflict != nullptr && strat == Strategy::Atomics;
   auto invoke = [&](std::size_t e, std::size_t blk) {
-    std::apply([&](const auto&... b) { kernel(b.make(e, atomic, blk)...); },
-               binders);
+    std::apply([&](const auto&... b) { kernel(b.make(e, blk)...); }, binders);
   };
   // Every sweep reduces into fresh block partials and folds them into
   // the targets when it completes (core/reducer.hpp).
@@ -491,9 +534,41 @@ void par_loop(Context& ctx, Meta meta, Set& set, K&& kernel, Args... args) {
     detail::close_sweeps(binders);
   };
 
-  if (conflict == nullptr || strat == Strategy::Atomics ||
-      strat == Strategy::None) {
+  if (conflict == nullptr) {
     sweep(nullptr, n);
+    return;
+  }
+
+  if (owner) {
+    // A reducing loop is never owner_ok, so it was staged above.
+    if constexpr (!has_gbl) {
+      const std::size_t ranges =
+          ctx.target_ranges(conflict->map->to().size());
+      if (ranges == 1) {  // one owner: the plain serial sweep
+        for (std::size_t e = 0; e < n; ++e) invoke(e, 0);
+        return;
+      }
+      const Ownership& own = ctx.owners_for(*conflict->map, ranges);
+      auto run_range = [&](std::size_t r) {
+        auto views = std::apply(
+            [&](const auto&... b) {
+              return std::make_tuple(detail::owned(
+                  b, own.range_begin[r], own.range_begin[r + 1])...);
+            },
+            binders);
+        for (std::size_t i = own.offsets[r]; i < own.offsets[r + 1]; ++i) {
+          const auto e = static_cast<std::size_t>(own.elems[i]);
+          std::apply([&](auto&... v) { kernel(v.make(e, 0)...); }, views);
+        }
+      };
+      if (ctx.opt.exec == Exec::Sycl)
+        ctx.queue.parallel_for(meta.name, ::sycl::range<1>(ranges),
+                               [&](::sycl::item<1> it) {
+                                 run_range(it.get_linear_id());
+                               });
+      else
+        rt::ThreadPool::global().run_chunks(ranges, run_range);
+    }
     return;
   }
 

@@ -1,6 +1,9 @@
 #include "op2/plan.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 namespace syclport::op2 {
@@ -39,7 +42,88 @@ int greedy_colour(std::size_t n, std::size_t ntargets, TargetsOf&& targets_of,
   return c;
 }
 
+/// Call fn(r) once for every distinct owner r of element e's targets.
+/// Rows are short (arity <= a few), so duplicates are found by a scan
+/// of the row's earlier entries.
+template <typename Fn>
+void for_each_owner(const int* row, std::size_t arity,
+                    const std::vector<std::uint32_t>& owner, Fn&& fn) {
+  for (std::size_t i = 0; i < arity; ++i) {
+    const std::uint32_t r = owner[static_cast<std::size_t>(row[i])];
+    bool seen = false;
+    for (std::size_t j = 0; j < i && !seen; ++j)
+      seen = owner[static_cast<std::size_t>(row[j])] == r;
+    if (!seen) fn(r);
+  }
+}
+
+struct OwnershipKey {
+  std::uint64_t map_digest = 0;
+  std::size_t from_size = 0;
+  std::size_t to_size = 0;
+  int arity = 0;
+  std::size_t ranges = 0;
+  auto operator<=>(const OwnershipKey&) const = default;
+};
+
+struct OwnershipMemo {
+  std::mutex mu;
+  std::map<OwnershipKey, std::shared_ptr<const Ownership>> entries;
+};
+
 }  // namespace
+
+Ownership build_ownership(const Map& map, std::size_t ranges) {
+  const std::size_t n = map.from().size();
+  const std::size_t ntargets = map.to().size();
+  const auto arity = static_cast<std::size_t>(map.arity());
+  const std::size_t nr = std::max<std::size_t>(1, ranges);
+
+  Ownership o;
+  o.range_begin.resize(nr + 1);
+  for (std::size_t r = 0; r <= nr; ++r) o.range_begin[r] = r * ntargets / nr;
+  std::vector<std::uint32_t> owner(ntargets);
+  for (std::size_t r = 0; r < nr; ++r)
+    std::fill(owner.begin() + static_cast<std::ptrdiff_t>(o.range_begin[r]),
+              owner.begin() + static_cast<std::ptrdiff_t>(o.range_begin[r + 1]),
+              static_cast<std::uint32_t>(r));
+
+  // Pass 1 counts each range's elements; pass 2 places them, ascending
+  // because elements are visited in order.
+  o.offsets.assign(nr + 1, 0);
+  for (std::size_t e = 0; e < n; ++e)
+    for_each_owner(map.row(e), arity, owner,
+                   [&](std::uint32_t r) { ++o.offsets[r + 1]; });
+  for (std::size_t r = 0; r < nr; ++r) o.offsets[r + 1] += o.offsets[r];
+  o.elems.resize(o.offsets[nr]);
+  std::vector<std::size_t> next(o.offsets.begin(), o.offsets.end() - 1);
+  for (std::size_t e = 0; e < n; ++e)
+    for_each_owner(map.row(e), arity, owner, [&](std::uint32_t r) {
+      o.elems[next[r]++] = static_cast<int>(e);
+    });
+  return o;
+}
+
+std::shared_ptr<const Ownership> memoized_ownership(const Map& map,
+                                                    std::uint64_t digest,
+                                                    std::size_t ranges) {
+  static OwnershipMemo memo;
+  const OwnershipKey key{.map_digest = digest,
+                         .from_size = map.from().size(),
+                         .to_size = map.to().size(),
+                         .arity = map.arity(),
+                         .ranges = ranges};
+  {
+    std::lock_guard lock(memo.mu);
+    if (const auto it = memo.entries.find(key); it != memo.entries.end())
+      return it->second;
+  }
+  // Built outside the lock; concurrent misses on one key build equal
+  // partitions and share whichever is stored first.
+  auto built = std::make_shared<const Ownership>(build_ownership(map, ranges));
+  std::lock_guard lock(memo.mu);
+  return memo.entries.try_emplace(key, std::move(built)).first->second;
+}
 
 Plan build_plan(const Map& map, Strategy strategy, std::size_t block_size) {
   Plan p;
@@ -180,7 +264,41 @@ bool validate_plan(const Plan& plan, const Map& map) {
     }
     return true;
   }
-  return true;  // atomics: nothing to validate
+
+  if (plan.strategy == Strategy::Atomics && plan.owners != nullptr) {
+    const Ownership& o = *plan.owners;
+    const std::size_t nr = o.ranges();
+    // Bounds 0 = b0 <= b1 <= ... = ntargets put every target in
+    // exactly one range.
+    if (nr == 0 || o.offsets.size() != nr + 1 || o.range_begin.front() != 0 ||
+        o.range_begin.back() != ntargets || o.offsets.front() != 0 ||
+        o.offsets.back() != o.elems.size())
+      return false;
+    for (std::size_t r = 0; r < nr; ++r)
+      if (o.range_begin[r] > o.range_begin[r + 1] ||
+          o.offsets[r] > o.offsets[r + 1])
+        return false;
+    // Range r's list must equal, entry for entry, the ascending walk of
+    // the elements with a target in [range_begin[r], range_begin[r+1]):
+    // strictly ascending, nothing missing, nothing extra.
+    for (std::size_t r = 0; r < nr; ++r) {
+      std::size_t pos = o.offsets[r];
+      for (std::size_t e = 0; e < plan.nelems; ++e) {
+        bool in_range = false;
+        for (int i = 0; i < arity; ++i) {
+          const auto t = static_cast<std::size_t>(map.at(e, i));
+          in_range |= t >= o.range_begin[r] && t < o.range_begin[r + 1];
+        }
+        if (!in_range) continue;
+        if (pos == o.offsets[r + 1] ||
+            o.elems[pos] != static_cast<int>(e))
+          return false;
+        ++pos;
+      }
+      if (pos != o.offsets[r + 1]) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace syclport::op2

@@ -1,8 +1,9 @@
 #pragma once
 /// \file stage.hpp
-/// The staged par_loop lowering (Strategy::Staged and every loop whose
-/// dats left AoS). Instead of racing indirect increments (atomics) or
-/// serializing colours, a loop runs in super-tiles:
+/// The staged par_loop lowering: Strategy::Staged, every loop whose
+/// dats left AoS, and every Atomics/None loop the owner-computes
+/// lowering cannot take (par_loop.hpp). Instead of owner ranges or
+/// serialized colours, a loop runs in super-tiles:
 ///   Phase A - tiles of `stage_tile` elements run in parallel: indirect
 ///     read operands are gathered into contiguous per-element scratch,
 ///     non-AoS direct operands are transcoded into tile buffers, the
@@ -112,7 +113,7 @@ struct DirectTileView {
     }
   }
 
-  [[nodiscard]] T* make(std::size_t e, bool) {
+  [[nodiscard]] T* make(std::size_t e) {
     const auto dim = static_cast<std::size_t>(dat->dim());
     return in_place ? dat->storage() + e * dim : buf.data() + (e - base) * dim;
   }
@@ -149,7 +150,7 @@ struct IndirectTileView {
     }
   }
 
-  [[nodiscard]] const T* make(std::size_t e, bool) const {
+  [[nodiscard]] const T* make(std::size_t e) const {
     return buf.data() + (e - base) * static_cast<std::size_t>(dim);
   }
   void flush() {}
@@ -171,8 +172,8 @@ struct IncTileView {
     std::fill(slot0, slot0 + count * static_cast<std::size_t>(dim), T{});
   }
 
-  [[nodiscard]] Inc<T> make(std::size_t e, bool) const {
-    return Inc<T>(slot0 + (e - base) * static_cast<std::size_t>(dim), false);
+  [[nodiscard]] Inc<T> make(std::size_t e) const {
+    return Inc<T>(slot0 + (e - base) * static_cast<std::size_t>(dim));
   }
   void flush() {}
 };
@@ -182,7 +183,7 @@ template <typename T>
 struct GblTileView {
   T* slot;
   RedOp op;
-  [[nodiscard]] Reducer<T> make(std::size_t, bool) const {
+  [[nodiscard]] Reducer<T> make(std::size_t) const {
     return Reducer<T>(slot, op);
   }
   void flush() {}
@@ -230,16 +231,6 @@ template <typename A, typename Arena>
 inline void scatter_inc_elem(const A&, const Arena&, std::size_t, std::size_t,
                              std::size_t, std::size_t) {}
 
-/// Number of target partitions phase B scans with. One partition per
-/// worker; the arena re-read is shared-cache-resident, so extra
-/// partitions cost little and buy full scatter parallelism.
-[[nodiscard]] inline std::size_t stage_partitions(const Context& ctx,
-                                                  std::size_t ntargets) {
-  if (ctx.opt.exec == Exec::Serial) return 1;
-  const std::size_t p = rt::ThreadPool::global().size();
-  return std::max<std::size_t>(1, std::min(p, ntargets));
-}
-
 /// Run the staged lowering over n elements. `conflict_targets` is the
 /// size of the INC conflict map's target set (0 when the loop has no
 /// INC args - phase B is skipped entirely then).
@@ -272,7 +263,7 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
     auto views = std::make_tuple(make_tile_view(
         std::get<I>(args), std::get<I>(arenas), t * tile, b, e_end)...);
     for (std::size_t e = b; e < e_end; ++e)
-      std::apply([&](auto&... v) { kernel(v.make(e, false)...); }, views);
+      std::apply([&](auto&... v) { kernel(v.make(e)...); }, views);
     std::apply([&](auto&... v) { (v.flush(), ...); }, views);
   };
 
@@ -292,7 +283,10 @@ void staged_loop(Context& ctx, const char* name, std::size_t n,
     }
   };
 
-  const std::size_t parts = stage_partitions(ctx, conflict_targets);
+  // One phase-B partition per worker: the arena re-read is
+  // shared-cache-resident, so extra partitions cost little and buy full
+  // scatter parallelism.
+  const std::size_t parts = ctx.target_ranges(conflict_targets);
   const std::size_t t_chunk =
       parts == 0 ? 0 : (conflict_targets + parts - 1) / std::max<std::size_t>(1, parts);
 

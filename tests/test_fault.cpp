@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -287,11 +288,21 @@ std::vector<double> ring_run(int nranks, int steps) {
   return out;
 }
 
+struct CommCase {
+  const char* spec;
+  std::uint64_t seed;
+};
+
+// The chaos suites print their parameters by value: ctest's test names
+// embed the printout, and gtest's default would show addresses or raw
+// bytes that change with every build.
+void PrintTo(const CommCase& c, std::ostream* os) {
+  *os << c.spec << " seed " << c.seed;
+}
+
 }  // namespace
 
-class CommChaos
-    : public ::testing::TestWithParam<std::pair<const char*, std::uint64_t>> {
-};
+class CommChaos : public ::testing::TestWithParam<CommCase> {};
 
 TEST_P(CommChaos, RingExchangeStaysBitExactUnderInjection) {
   const auto [spec, seed] = GetParam();
@@ -308,16 +319,19 @@ TEST_P(CommChaos, RingExchangeStaysBitExactUnderInjection) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schedules, CommChaos,
-    ::testing::Values(
-        std::make_pair("comm.drop=@2", std::uint64_t{11}),
-        std::make_pair("comm.drop=0.2x4", std::uint64_t{12}),
-        std::make_pair("comm.dup=%2", std::uint64_t{13}),
-        std::make_pair("comm.corrupt=@1", std::uint64_t{14}),
-        std::make_pair("comm.corrupt=0.3x6", std::uint64_t{15}),
-        std::make_pair("comm.delay=0.4x8", std::uint64_t{16}),
-        std::make_pair("comm.*=0.15x6", std::uint64_t{17}),
-        std::make_pair("comm.*=0.15x6", std::uint64_t{18}),
-        std::make_pair("comm.drop=%3x3,comm.delay=0.3x4", std::uint64_t{19})));
+    ::testing::Values(CommCase{"comm.drop=@2", 11},
+                      CommCase{"comm.drop=0.2x4", 12},
+                      CommCase{"comm.dup=%2", 13},
+                      CommCase{"comm.corrupt=@1", 14},
+                      CommCase{"comm.corrupt=0.3x6", 15},
+                      CommCase{"comm.delay=0.4x8", 16},
+                      CommCase{"comm.*=0.15x6", 17},
+                      CommCase{"comm.*=0.15x6", 18},
+                      CommCase{"comm.drop=%3x3,comm.delay=0.3x4", 19}),
+    [](const auto& ti) {
+      return "seed" + std::to_string(ti.param.seed) + "_" +
+             std::to_string(ti.index);
+    });
 
 TEST(FaultComm, DeterministicDropIsCountedAndRecovered) {
   const ScopedEnv timeout("SYCLPORT_COMM_TIMEOUT_MS", "25");
@@ -633,6 +647,10 @@ struct AppCase {
   std::uint64_t seed;
 };
 
+void PrintTo(const AppCase& c, std::ostream* os) {
+  *os << c.app << ' ' << c.spec << " seed " << c.seed;
+}
+
 [[nodiscard]] double run_app_checksum(const std::string& app) {
   ops::Options opt;
   opt.backend = ops::Backend::Threads;
@@ -847,6 +865,11 @@ struct ElasticCase {
   std::uint64_t seed;
   std::uint64_t kills;
 };
+
+void PrintTo(const ElasticCase& c, std::ostream* os) {
+  *os << mini_name(c.app) << ' ' << mpi::to_string(c.policy) << ' '
+      << c.spec << " seed " << c.seed << " kills " << c.kills;
+}
 
 }  // namespace
 

@@ -1,10 +1,13 @@
 // Unit and property tests for the OP2 unstructured-mesh DSL: maps,
-// plans (global/hierarchical colouring validity), all race-resolution
-// strategies against a serial reference, gather-locality measurement,
-// renumbering, and LoopProfile recording.
+// plans (global/hierarchical colouring validity, atomics ownership),
+// all race-resolution strategies against a serial reference,
+// gather-locality measurement, renumbering, and LoopProfile recording.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -79,6 +82,10 @@ std::vector<double> serial_scatter(const op2::Map& e2v,
     out[static_cast<std::size_t>(e2v.at(e, 1))] -= edge_w[e];
   }
   return out;
+}
+
+bool bit_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -169,8 +176,15 @@ TEST_P(StrategySweep, ScatterMatchesSerialReference) {
                 op2::arg_inc(vsum, mesh.e2v, 1));
 
   const auto ref = serial_scatter(mesh.e2v, weights);
-  for (std::size_t v = 0; v < ref.size(); ++v)
-    ASSERT_NEAR(vsum.at(v), ref[v], 1e-12) << "vertex " << v;
+  // Atomics runs owner-computes: every vertex takes its increments in
+  // element order, as the serial reference does, on every backend.
+  for (std::size_t v = 0; v < ref.size(); ++v) {
+    if (strategy == Strategy::Atomics)
+      ASSERT_TRUE(bit_equal(vsum.at(v), ref[v]))
+          << "vertex " << v << ": " << vsum.at(v) << " vs " << ref[v];
+    else
+      ASSERT_NEAR(vsum.at(v), ref[v], 1e-12) << "vertex " << v;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -512,4 +526,220 @@ TEST(LoopChain, ThrowLeavesChainReusable) {
                 op2::arg_direct(a, op2::Acc::R));
   chain.execute();
   EXPECT_DOUBLE_EQ(b.sum(), 2.0 * a.sum());
+}
+
+// --- owner-computes (the host lowering of Atomics and None) -----------------
+
+namespace {
+
+/// A random map of `arity` columns from ne elements to nv targets. With
+/// arity >= 2, element 0 names one target twice.
+struct RandomMesh {
+  op2::Set targets;
+  op2::Set elems;
+  op2::Map map;
+  RandomMesh(std::mt19937& rng, std::size_t nv, std::size_t ne, int arity)
+      : targets("t", nv), elems("e", ne), map(elems, targets, arity, "m") {
+    for (std::size_t e = 0; e < ne; ++e)
+      for (int i = 0; i < arity; ++i)
+        map.at(e, i) = static_cast<int>(rng() % nv);
+    if (arity >= 2) map.at(0, 1) = map.at(0, 0);
+  }
+};
+
+}  // namespace
+
+TEST(Ownership, PropertyRandomMeshesPartitionExactly) {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (const int arity : {1, 2, 3})
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::size_t nv = 7 + static_cast<std::size_t>(rng() % 90);
+      RandomMesh m(rng, nv, 3 * nv, arity);
+      const std::size_t ne = m.elems.size();
+      std::vector<double> w(ne * static_cast<std::size_t>(arity));
+      for (double& x : w) x = dist(rng);
+      // Serial reference: every element's increments, in element order.
+      std::vector<double> serial(nv, 0.0);
+      for (std::size_t e = 0; e < ne; ++e)
+        for (int i = 0; i < arity; ++i)
+          serial[static_cast<std::size_t>(m.map.at(e, i))] +=
+              w[e * static_cast<std::size_t>(arity) +
+                static_cast<std::size_t>(i)];
+
+      for (const std::size_t ranges : {1u, 2u, 3u, 5u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "arity " << arity << " trial "
+                                          << trial << " ranges " << ranges);
+        op2::Plan plan = op2::build_plan(m.map, Strategy::Atomics);
+        auto own = std::make_shared<op2::Ownership>(
+            op2::build_ownership(m.map, ranges));
+        ASSERT_EQ(own->ranges(), ranges);
+        plan.owners = own;
+        EXPECT_TRUE(op2::validate_plan(plan, m.map));
+
+        // The ranges run in any order (here: last first), each applying
+        // only the increments landing in it.
+        std::vector<double> out(nv, 0.0);
+        for (std::size_t r = ranges; r-- > 0;)
+          for (std::size_t k = own->offsets[r]; k < own->offsets[r + 1]; ++k) {
+            const auto e = static_cast<std::size_t>(own->elems[k]);
+            for (int i = 0; i < arity; ++i) {
+              const auto t = static_cast<std::size_t>(m.map.at(e, i));
+              if (t >= own->range_begin[r] && t < own->range_begin[r + 1])
+                out[t] += w[e * static_cast<std::size_t>(arity) +
+                            static_cast<std::size_t>(i)];
+            }
+          }
+        for (std::size_t t = 0; t < nv; ++t)
+          ASSERT_TRUE(bit_equal(out[t], serial[t])) << "target " << t;
+
+        // validate_plan catches a missing, a repeated and an extra
+        // element, and a range boundary that drops a target.
+        const std::size_t last = own->elems.size() - 1;
+        auto corrupt = [&](auto&& edit) {
+          auto bad = std::make_shared<op2::Ownership>(*own);
+          edit(*bad);
+          op2::Plan p = plan;
+          p.owners = bad;
+          return op2::validate_plan(p, m.map);
+        };
+        EXPECT_FALSE(corrupt([&](op2::Ownership& o) {
+          o.elems.erase(o.elems.begin() + static_cast<std::ptrdiff_t>(last));
+          o.offsets.back() -= 1;
+        }));
+        EXPECT_FALSE(corrupt([&](op2::Ownership& o) {
+          o.elems[last] = o.elems[last - 1];
+        }));
+        EXPECT_FALSE(corrupt([&](op2::Ownership& o) {
+          o.elems.push_back(static_cast<int>(ne - 1));
+          o.offsets.back() += 1;
+        }));
+        EXPECT_FALSE(corrupt([&](op2::Ownership& o) {
+          o.range_begin.back() -= 1;
+        }));
+      }
+    }
+}
+
+TEST(Ownership, ArityThreeLoopBitEqualsSerialOnEveryExec) {
+  std::mt19937 rng(5);
+  RandomMesh m(rng, 301, 900, 3);
+  op2::Dat<double> w(m.elems, 3, "w");
+  for (std::size_t e = 0; e < m.elems.size(); ++e)
+    for (int c = 0; c < 3; ++c)
+      w.at(e, c) = 1.0 / (1.0 + static_cast<double>((e * 7 + c) % 97));
+  auto run = [&](op2::Exec x) {
+    op2::Context ctx(opts(Strategy::Atomics, x));
+    op2::Dat<double> acc(m.targets, 2, "acc");
+    op2::par_loop(ctx, {"tri"}, m.elems,
+                  [](const double* we, op2::Inc<double> a,
+                     op2::Inc<double> b, op2::Inc<double> c) {
+                    a.add(0, we[0]);
+                    b.add(0, -we[1]);
+                    c.add(0, we[2]);
+                    a.add(1, we[0] * we[1]);
+                    c.add(1, -we[2] * we[0]);
+                  },
+                  op2::arg_direct(w, op2::Acc::R),
+                  op2::arg_inc(acc, m.map, 0), op2::arg_inc(acc, m.map, 1),
+                  op2::arg_inc(acc, m.map, 2));
+    std::vector<double> out;
+    for (std::size_t t = 0; t < m.targets.size(); ++t)
+      for (int c = 0; c < 2; ++c) out.push_back(acc.at(t, c));
+    return out;
+  };
+  const auto serial = run(op2::Exec::Serial);
+  for (const op2::Exec x : {op2::Exec::Threads, op2::Exec::Sycl}) {
+    const auto got = run(x);
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      ASSERT_TRUE(bit_equal(got[i], serial[i])) << "slot " << i;
+  }
+}
+
+TEST(Ownership, NoneLoopThreadsBitEqualsSerial) {
+  // Strategy::None resolves no races itself; its conflict loops run
+  // owner-computes like Atomics.
+  GridMesh mesh(17, 23);
+  auto run = [&](op2::Exec x) {
+    op2::Context ctx(opts(Strategy::None, x));
+    op2::Dat<double> ew(mesh.edges, 1, "w");
+    op2::Dat<double> vsum(mesh.vertices, 1, "sum");
+    for (std::size_t e = 0; e < mesh.edges.size(); ++e)
+      ew.at(e) = 0.1 + 1.0 / (3.0 + static_cast<double>(e % 41));
+    op2::par_loop(ctx, {"scatter"}, mesh.edges,
+                  [](const double* w, op2::Inc<double> a, op2::Inc<double> b) {
+                    a.add(0, w[0]);
+                    b.add(0, -0.5 * w[0]);
+                  },
+                  op2::arg_direct(ew, op2::Acc::R),
+                  op2::arg_inc(vsum, mesh.e2v, 0),
+                  op2::arg_inc(vsum, mesh.e2v, 1));
+    std::vector<double> out;
+    for (std::size_t v = 0; v < mesh.vertices.size(); ++v)
+      out.push_back(vsum.at(v));
+    return out;
+  };
+  const auto serial = run(op2::Exec::Serial);
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto threads = run(op2::Exec::Threads);
+    for (std::size_t v = 0; v < serial.size(); ++v)
+      ASSERT_TRUE(bit_equal(threads[v], serial[v])) << "vertex " << v;
+  }
+}
+
+TEST(Ownership, SideEffectingLoopFallsBackToStaged) {
+  // A direct write makes re-running an element observable, so the loop
+  // is staged instead: still element-ordered, still bit-equal to Serial,
+  // and still recorded as an atomics loop.
+  GridMesh mesh(13, 11);
+  auto run = [&](op2::Exec x) {
+    op2::Context ctx(opts(Strategy::Atomics, x));
+    op2::Dat<double> ew(mesh.edges, 1, "w");
+    op2::Dat<double> hits(mesh.edges, 1, "hits");
+    op2::Dat<double> vsum(mesh.vertices, 1, "sum");
+    for (std::size_t e = 0; e < mesh.edges.size(); ++e)
+      ew.at(e) = 1.0 / (1.0 + static_cast<double>(e % 29));
+    op2::par_loop(ctx, {"scatter_count"}, mesh.edges,
+                  [](const double* w, double* h, op2::Inc<double> a,
+                     op2::Inc<double> b) {
+                    h[0] += 1.0;
+                    a.add(0, w[0]);
+                    b.add(0, -w[0]);
+                  },
+                  op2::arg_direct(ew, op2::Acc::R),
+                  op2::arg_direct(hits, op2::Acc::RW),
+                  op2::arg_inc(vsum, mesh.e2v, 0),
+                  op2::arg_inc(vsum, mesh.e2v, 1));
+    EXPECT_DOUBLE_EQ(hits.sum(), static_cast<double>(mesh.edges.size()));
+    EXPECT_EQ(ctx.profiles.at(0).atomic_updates, 2 * mesh.edges.size());
+    EXPECT_FALSE(ctx.profiles.at(0).staged);
+    std::vector<double> out;
+    for (std::size_t v = 0; v < mesh.vertices.size(); ++v)
+      out.push_back(vsum.at(v));
+    return out;
+  };
+  const auto serial = run(op2::Exec::Serial);
+  for (const op2::Exec x : {op2::Exec::Threads, op2::Exec::Sycl}) {
+    const auto got = run(x);
+    for (std::size_t v = 0; v < serial.size(); ++v)
+      ASSERT_TRUE(bit_equal(got[v], serial[v])) << "vertex " << v;
+  }
+}
+
+TEST(Ownership, MemoSharesByContentAndFollowsEdits) {
+  GridMesh mesh(9, 9);
+  op2::Context a(opts(Strategy::Atomics)), b(opts(Strategy::Atomics));
+  const op2::Ownership& oa = a.owners_for(mesh.e2v, 3);
+  const op2::Ownership& ob = b.owners_for(mesh.e2v, 3);
+  EXPECT_EQ(&oa, &ob);  // one partition per map content and range count
+  EXPECT_EQ(&a.owners_for(mesh.e2v, 3), &oa);
+  EXPECT_NE(&a.owners_for(mesh.e2v, 2), &oa);
+
+  // An edited map has a new content digest: a fresh Context gets a
+  // partition of the edited entries, not the stale one.
+  std::swap(mesh.e2v.at(0, 1), mesh.e2v.at(mesh.edges.size() - 1, 1));
+  op2::Context c(opts(Strategy::Atomics));
+  op2::Plan plan = op2::build_plan(mesh.e2v, Strategy::Atomics);
+  plan.owners = std::make_shared<op2::Ownership>(c.owners_for(mesh.e2v, 3));
+  EXPECT_TRUE(op2::validate_plan(plan, mesh.e2v));
 }
